@@ -11,8 +11,8 @@
 
 #include <iostream>
 
-#include "cluster/cluster.hh"
 #include "core/ablations.hh"
+#include "exp/cluster_run.hh"
 #include "exp/standard_traces.hh"
 #include "stats/table.hh"
 #include "trace/replay.hh"
@@ -37,14 +37,13 @@ main()
          {cluster::Scheduling::RoundRobin,
           cluster::Scheduling::LeastLoaded,
           cluster::Scheduling::LocalityAware}) {
-        cluster::ClusterConfig config;
+        exp::ClusterRunConfig config;
         config.nodes = 4;
         config.node.pool.memoryBudgetMb = 60.0 * 1024.0; // 240 GB total
         config.scheduling = scheduling;
-        cluster::Cluster cluster(
+        const auto result = exp::runCluster(
             catalog, [&catalog] { return core::makeRainbowCake(catalog); },
-            config);
-        const auto result = cluster.run(arrivals);
+            arrivals, config);
 
         std::string spread;
         for (const auto count : result.perNodeInvocations) {

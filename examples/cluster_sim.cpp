@@ -6,8 +6,8 @@
 
 #include <iostream>
 
-#include "cluster/cluster.hh"
 #include "core/ablations.hh"
+#include "exp/cluster_run.hh"
 #include "stats/table.hh"
 #include "trace/generator.hh"
 #include "trace/replay.hh"
@@ -36,15 +36,13 @@ main()
          {cluster::Scheduling::RoundRobin,
           cluster::Scheduling::LeastLoaded,
           cluster::Scheduling::LocalityAware}) {
-        cluster::ClusterConfig config;
+        exp::ClusterRunConfig config;
         config.nodes = 4;
         config.node.pool.memoryBudgetMb = 32.0 * 1024.0;
         config.scheduling = scheduling;
-        cluster::Cluster cluster(
-            catalog,
-            [&catalog] { return core::makeRainbowCake(catalog); },
-            config);
-        const auto result = cluster.run(arrivals);
+        const auto result = exp::runCluster(
+            catalog, [&catalog] { return core::makeRainbowCake(catalog); },
+            arrivals, config);
 
         std::string spread;
         for (const auto count : result.perNodeInvocations) {

@@ -217,9 +217,8 @@ RecoveryOrchestrator::grantRejoin(std::size_t node, sim::Tick grantAt,
     _rejoinWaitSeconds += wait;
     if (_obs != nullptr) {
         _obs->counters().bump(obs::Counter::NodesRejoined, grantAt);
-        _obs->emit(grantAt, obs::EventType::NodeRejoinGranted, 0,
-                   0xffffffffU, static_cast<std::uint8_t>(node), 0,
-                   wait);
+        _obs->emit(grantAt, obs::EventType::NodeRejoinGranted, node,
+                   0xffffffffU, 0, 0, wait);
     }
     // Plan the census warm-up, most specialized capital first: the
     // per-function User working set (what warm starts actually need),
@@ -285,9 +284,8 @@ RecoveryOrchestrator::complete(std::size_t node, sim::Tick at)
 {
     NodeRec& rec = _recs[node];
     if (_obs != nullptr) {
-        _obs->emit(at, obs::EventType::NodeWarmupDone, 0, 0xffffffffU,
-                   static_cast<std::uint8_t>(node), 0,
-                   static_cast<double>(rec.plannedTotal));
+        _obs->emit(at, obs::EventType::NodeWarmupDone, node, 0xffffffffU,
+                   0, 0, static_cast<double>(rec.plannedTotal));
     }
     ++_recoveredNodes;
     rec.state = NodeState::Up;
@@ -341,11 +339,8 @@ RecoveryOrchestrator::onBarrier(sim::Tick windowStart,
         if (_obs != nullptr) {
             _obs->counters().bump(obs::Counter::DomainOutages, wave.at);
             _obs->emit(wave.at, obs::EventType::DomainOutage, 0,
-                       0xffffffffU,
-                       static_cast<std::uint8_t>(
-                           std::min<std::uint32_t>(wave.nodesStruck,
-                                                   255)),
-                       0, sim::toSeconds(wave.downFor));
+                       0xffffffffU, 0, 0, sim::toSeconds(wave.downFor),
+                       static_cast<double>(wave.nodesStruck));
         }
     }
 
@@ -372,9 +367,8 @@ RecoveryOrchestrator::onBarrier(sim::Tick windowStart,
                     _obs->counters().bump(obs::Counter::NodesDrained,
                                           e.beginAt);
                     _obs->emit(e.beginAt,
-                               obs::EventType::NodeDrainStarted, 0,
-                               0xffffffffU,
-                               static_cast<std::uint8_t>(n), 0,
+                               obs::EventType::NodeDrainStarted, n,
+                               0xffffffffU, 0, 0,
                                sim::toSeconds(e.downFor));
                 }
             } else {
@@ -397,9 +391,7 @@ RecoveryOrchestrator::onBarrier(sim::Tick windowStart,
                     ++_nodesKilled;
                 if (_obs != nullptr) {
                     _obs->emit(windowStart, obs::EventType::NodeDrained,
-                               0, 0xffffffffU,
-                               static_cast<std::uint8_t>(n),
-                               empty ? 0 : 1);
+                               n, 0xffffffffU, empty ? 0 : 1);
                 }
                 beginDown(n, windowStart, e.downFor);
                 actions.push_back({RecoveryAction::kCrashNode,
@@ -482,9 +474,8 @@ RecoveryOrchestrator::finishPending(sim::Tick now)
             // lets its in-flight work finish, so it counts graceful.
             ++_nodesDrained;
             if (_obs != nullptr) {
-                _obs->emit(now, obs::EventType::NodeDrained, 0,
-                           0xffffffffU, static_cast<std::uint8_t>(n),
-                           0);
+                _obs->emit(now, obs::EventType::NodeDrained, n,
+                           0xffffffffU, 0);
             }
             rec.readyAt = now;
             break;
@@ -503,9 +494,8 @@ RecoveryOrchestrator::finishPending(sim::Tick now)
         _rejoinWaitSeconds += wait;
         if (_obs != nullptr) {
             _obs->counters().bump(obs::Counter::NodesRejoined, now);
-            _obs->emit(now, obs::EventType::NodeRejoinGranted, 0,
-                       0xffffffffU, static_cast<std::uint8_t>(n), 0,
-                       wait);
+            _obs->emit(now, obs::EventType::NodeRejoinGranted, n,
+                       0xffffffffU, 0, 0, wait);
         }
         rec.plannedTotal = 0;
         complete(n, now);

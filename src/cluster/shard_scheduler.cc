@@ -6,6 +6,17 @@
 
 namespace rc::cluster {
 
+const char*
+toString(Scheduling scheduling)
+{
+    switch (scheduling) {
+      case Scheduling::RoundRobin: return "round-robin";
+      case Scheduling::LeastLoaded: return "least-loaded";
+      case Scheduling::LocalityAware: return "locality-aware";
+    }
+    return "?";
+}
+
 ShardScheduler::ShardScheduler(Scheduling scheduling,
                                const workload::Catalog& catalog)
     : _scheduling(scheduling), _catalog(catalog),
@@ -16,9 +27,9 @@ ShardScheduler::ShardScheduler(Scheduling scheduling,
 std::size_t
 ShardScheduler::leastLoaded(const std::vector<NodeSummary>& nodes) const
 {
-    // Two passes like the legacy scheduler: prefer available nodes,
-    // but when the whole cluster is down still place the work (it
-    // queues on the node and drains at restart).
+    // Two passes: prefer available nodes, but when the whole cluster
+    // is down still place the work (it queues on the node and drains
+    // at restart).
     for (const bool availableOnly : {true, false}) {
         std::size_t best = nodes.size();
         std::uint32_t bestInFlight =

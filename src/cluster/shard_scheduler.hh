@@ -1,15 +1,22 @@
 /**
  * @file
- * Barrier-time scheduling for the sharded cluster core.
+ * Inter-node scheduling (§8, "RainbowCake on distributed clusters").
  *
- * The legacy ClusterScheduler inspects live node objects, which
- * forces the whole cluster onto one timeline (every node must be
- * advanced to the arrival instant before each pick). The sharded
- * core instead routes against *summaries*: per-node PODs captured by
- * each shard at the last barrier. Decisions therefore see state that
- * is up to one lookahead window stale — exactly the information a
- * real inter-node scheduler would have, since placement messages take
- * a network hop anyway.
+ * The paper sketches an inter-node scheduler built on three factors:
+ *   1. Locality — prefer a node holding a fully warmed (User)
+ *      container for the function;
+ *   2. Sharing — otherwise prefer the node with the best
+ *      layer-sharing opportunity (idle Lang of the function's
+ *      language, then idle Bare);
+ *   3. Load — otherwise distribute to avoid contention.
+ *
+ * ShardScheduler implements that policy plus two classic baselines
+ * (round-robin and least-loaded) so the benefit of warmth-aware
+ * routing is measurable. It routes against *summaries*: per-node PODs
+ * captured by each shard at the last barrier, never live node
+ * objects. Decisions therefore see state that is up to one lookahead
+ * window stale — exactly the information a real inter-node scheduler
+ * would have, since placement messages take a network hop anyway.
  *
  * Every rule here is a pure function of the summary array plus the
  * scheduler's own deterministic state (rotation cursor, affinity
@@ -29,11 +36,21 @@
 #include <cstdint>
 #include <vector>
 
-#include "cluster/scheduler.hh"
 #include "workload/catalog.hh"
 #include "workload/types.hh"
 
 namespace rc::cluster {
+
+/** Inter-node routing policies. */
+enum class Scheduling : std::uint8_t
+{
+    RoundRobin,    //!< ignore state; rotate
+    LeastLoaded,   //!< fewest in-flight invocations, then least memory
+    LocalityAware, //!< §8: locality, then sharing, then load
+};
+
+/** Human-readable name. */
+const char* toString(Scheduling scheduling);
 
 /**
  * Barrier-time snapshot of one node, written by the owning shard at
@@ -73,7 +90,7 @@ struct NodeSummary
     std::uint64_t successes = 0;
 };
 
-/** Deterministic summary-based router (same modes as the legacy one). */
+/** Deterministic summary-based router. */
 class ShardScheduler
 {
   public:

@@ -32,8 +32,9 @@ ShardedCluster::ShardedCluster(const workload::Catalog& catalog,
 {
     if (config.nodes == 0)
         sim::fatal("ShardedCluster: need at least one node");
-    // Same observer rule as the legacy Cluster: one Observer cannot
-    // span several engine timelines, so nodes run uninstrumented and
+    // One Observer cannot span several engine timelines (ticks would
+    // interleave non-monotonically, and pools restart container ids
+    // at 1), so nodes run uninstrumented and
     // the configured observer collects cluster-level events only —
     // emitted exclusively by the single-threaded coordinator. Spans
     // are the exception: each node gets a private span-only Observer
@@ -258,8 +259,7 @@ ShardedCluster::refreshBreakers(sim::Tick now)
         return;
     for (std::size_t i = 0; i < _nodes.size(); ++i) {
         admission::CircuitBreaker& breaker = _breakers[i];
-        // Feed outcome deltas from the barrier summaries — the
-        // sharded analogue of the legacy per-arrival breaker feed.
+        // Feed outcome deltas from the barrier summaries.
         for (; _seenFailures[i] < _summaries[i].failures;
              ++_seenFailures[i])
             breaker.recordFailure(now);
@@ -518,8 +518,7 @@ ShardedCluster::run(trace::ArrivalSource& source)
         const std::uint64_t tRoute = timing ? nowNs() : 0;
         // Drain the three input streams due this window in one merged
         // (tick, class) order — crashes outrank failover deliveries,
-        // which outrank fresh arrivals at the same instant, matching
-        // the legacy serial cluster.
+        // which outrank fresh arrivals at the same instant.
         while (true) {
             const sim::Tick crashAt = crashIdx < crashes.size()
                                           ? crashes[crashIdx].at
@@ -556,10 +555,9 @@ ShardedCluster::run(trace::ArrivalSource& source)
                     _obs->counters().bump(obs::Counter::FailoverRouted,
                                           item.deliverAt);
                     _obs->emit(item.deliverAt,
-                               obs::EventType::FailoverRouted, 0,
-                               item.function,
-                               static_cast<std::uint8_t>(target),
-                               static_cast<std::uint8_t>(item.fromNode));
+                               obs::EventType::FailoverRouted, target,
+                               item.function, 0, 0,
+                               static_cast<double>(item.fromNode));
                 }
                 if (item.ticket != 0) {
                     // The re-issued attempt keeps its ticket; the
@@ -610,9 +608,8 @@ ShardedCluster::run(trace::ArrivalSource& source)
                     target = _scheduler.pick(_summaries, arrival.function);
                 if (_obs != nullptr) {
                     _obs->emit(arrival.time,
-                               obs::EventType::ClusterRouted, 0,
-                               arrival.function,
-                               static_cast<std::uint8_t>(target));
+                               obs::EventType::ClusterRouted, target,
+                               arrival.function);
                 }
                 if (!ticketing()) {
                     queueInput(target, {arrival.time, seq++,
@@ -626,9 +623,8 @@ ShardedCluster::run(trace::ArrivalSource& source)
                         _obs->counters().bump(obs::Counter::NodeProbes,
                                               arrival.time);
                         _obs->emit(arrival.time,
-                                   obs::EventType::NodeProbed, 0,
-                                   arrival.function,
-                                   static_cast<std::uint8_t>(target));
+                                   obs::EventType::NodeProbed, target,
+                                   arrival.function);
                     }
                 } else if (_health->quarantined(target)) {
                     // The scheduler only lands on a quarantined node
@@ -760,8 +756,8 @@ ShardedCluster::run(trace::ArrivalSource& source)
             if (_obs != nullptr) {
                 _obs->counters().bump(obs::Counter::NodeCrashes,
                                       record.at);
-                _obs->emit(record.at, obs::EventType::NodeCrashed, 0, 0,
-                           static_cast<std::uint8_t>(record.node), 0,
+                _obs->emit(record.at, obs::EventType::NodeCrashed,
+                           record.node, 0, 0, 0,
                            sim::toSeconds(record.downUntil - record.at),
                            static_cast<double>(record.lost));
             }
@@ -957,9 +953,8 @@ ShardedCluster::sendInvoke(std::size_t node, workload::FunctionId function,
         ++_msgsDelayed;
         if (_obs != nullptr) {
             _obs->counters().bump(obs::Counter::MsgsDelayed, sendAt);
-            _obs->emit(sendAt, obs::EventType::MsgDelayed, 0, function,
-                       static_cast<std::uint8_t>(node), 0,
-                       sim::toSeconds(link.delay));
+            _obs->emit(sendAt, obs::EventType::MsgDelayed, node, function,
+                       0, 0, sim::toSeconds(link.delay));
         }
     }
     if (link.drops > 0) {
@@ -967,8 +962,8 @@ ShardedCluster::sendInvoke(std::size_t node, workload::FunctionId function,
         if (_obs != nullptr) {
             _obs->counters().bump(obs::Counter::MsgsDropped, sendAt,
                                   link.drops);
-            _obs->emit(sendAt, obs::EventType::MsgDropped, 0, function,
-                       static_cast<std::uint8_t>(node),
+            _obs->emit(sendAt, obs::EventType::MsgDropped, node, function,
+                       0,
                        static_cast<std::uint8_t>(
                            std::min<std::uint32_t>(link.drops, 255)),
                        sim::toSeconds(link.delay));
@@ -1002,8 +997,8 @@ ShardedCluster::applyPartitions(sim::Tick windowStart, sim::Tick windowEnd,
             }
             if (_obs != nullptr) {
                 _obs->emit(ev.end, obs::EventType::PartitionEnd, 0,
-                           0xffffffffU,
-                           static_cast<std::uint8_t>(ev.nodes.size()));
+                           0xffffffffU, 0, 0, 0.0,
+                           static_cast<double>(ev.nodes.size()));
             }
             it = _activePartitions.erase(it);
         } else {
@@ -1022,9 +1017,9 @@ ShardedCluster::applyPartitions(sim::Tick windowStart, sim::Tick windowEnd,
             _obs->counters().bump(obs::Counter::PartitionsStarted,
                                   ev.start);
             _obs->emit(ev.start, obs::EventType::PartitionStart, 0,
-                       0xffffffffU,
-                       static_cast<std::uint8_t>(ev.nodes.size()), 0,
-                       sim::toSeconds(ev.end - ev.start));
+                       0xffffffffU, 0, 0,
+                       sim::toSeconds(ev.end - ev.start),
+                       static_cast<double>(ev.nodes.size()));
         }
         _activePartitions.push_back(_partitionIdx);
         ++_partitionIdx;
@@ -1039,8 +1034,8 @@ ShardedCluster::emitDegradedEvents(sim::Tick end)
         const fault::DegradedWindow& w =
             _degradedSchedule[_degradedEmitted++];
         if (_obs != nullptr) {
-            _obs->emit(w.start, obs::EventType::NodeDegraded, 0,
-                       0xffffffffU, static_cast<std::uint8_t>(w.node), 0,
+            _obs->emit(w.start, obs::EventType::NodeDegraded, w.node,
+                       0xffffffffU, 0, 0,
                        sim::toSeconds(w.end - w.start), w.execFactor);
         }
     }
@@ -1064,15 +1059,15 @@ ShardedCluster::emitHealthTransitions()
         using State = NodeHealthTracker::State;
         if (tr.to == State::Quarantined) {
             _obs->counters().bump(obs::Counter::NodeQuarantines, tr.at);
-            _obs->emit(tr.at, obs::EventType::NodeQuarantined, 0,
-                       0xffffffffU, static_cast<std::uint8_t>(tr.node),
+            _obs->emit(tr.at, obs::EventType::NodeQuarantined, tr.node,
+                       0xffffffffU, 0,
                        static_cast<std::uint8_t>(tr.from),
                        static_cast<double>(tr.node),
                        _health->ewma(tr.node));
         } else if (tr.to == State::Healthy) {
             _obs->counters().bump(obs::Counter::NodeReadmits, tr.at);
-            _obs->emit(tr.at, obs::EventType::NodeReadmitted, 0,
-                       0xffffffffU, static_cast<std::uint8_t>(tr.node), 0,
+            _obs->emit(tr.at, obs::EventType::NodeReadmitted, tr.node,
+                       0xffffffffU, 0, 0,
                        static_cast<double>(tr.node));
         }
         // Quarantined -> Probation flips silently; the NodeProbed
@@ -1115,11 +1110,10 @@ ShardedCluster::launchHedges(sim::Tick now, sim::Tick windowEnd,
         ++result.hedgesLaunched;
         if (_obs != nullptr) {
             _obs->counters().bump(obs::Counter::HedgesLaunched, now);
-            _obs->emit(now, obs::EventType::HedgeLaunched,
-                       watch.primaryRoot, watch.function,
-                       static_cast<std::uint8_t>(target),
-                       static_cast<std::uint8_t>(watch.primaryNode),
-                       sim::toSeconds(now - watch.sentAt));
+            _obs->emit(now, obs::EventType::HedgeLaunched, target,
+                       watch.function, 0, 0,
+                       sim::toSeconds(now - watch.sentAt),
+                       static_cast<double>(watch.primaryNode));
         }
         sendInvoke(target, watch.function, watch.primaryRoot,
                    watch.hedgeTicket, now, windowEnd, seq);
@@ -1140,8 +1134,8 @@ ShardedCluster::noteSideDone(Watch& watch, bool hedgeSide,
         if (_obs != nullptr) {
             _obs->counters().bump(obs::Counter::HedgesLost, at);
             _obs->emit(at, obs::EventType::HedgeLost, watch.primaryRoot,
-                       watch.function,
-                       static_cast<std::uint8_t>(watch.hedgeNode));
+                       watch.function, 0, 0,
+                       static_cast<double>(watch.hedgeNode));
         }
     } else {
         watch.primaryDone = true;
@@ -1254,9 +1248,8 @@ ShardedCluster::processOutcomes(sim::Tick barrier, std::uint64_t& seq,
                         _obs->counters().bump(obs::Counter::HedgesWon,
                                               o.at);
                         _obs->emit(o.at, obs::EventType::HedgeWon,
-                                   watch.primaryRoot, watch.function,
-                                   static_cast<std::uint8_t>(
-                                       tagged.node));
+                                   watch.primaryRoot, watch.function, 0,
+                                   0, static_cast<double>(tagged.node));
                     }
                 } else {
                     watch.primaryDone = true;
@@ -1300,7 +1293,8 @@ ShardedCluster::processOutcomes(sim::Tick barrier, std::uint64_t& seq,
                                 obs::Counter::HedgesLost, o.at);
                             _obs->emit(o.at, obs::EventType::HedgeLost,
                                        watch.primaryRoot, watch.function,
-                                       static_cast<std::uint8_t>(
+                                       0, 0,
+                                       static_cast<double>(
                                            watch.hedgeNode));
                         }
                     }
@@ -1330,9 +1324,9 @@ ShardedCluster::processOutcomes(sim::Tick barrier, std::uint64_t& seq,
                         _obs->counters().bump(
                             obs::Counter::HedgesCancelled, o.at);
                         _obs->emit(o.at, obs::EventType::HedgeCancelled,
-                                   watch.primaryRoot, watch.function,
-                                   static_cast<std::uint8_t>(
-                                       watch.hedgeNode));
+                                   watch.primaryRoot, watch.function, 0,
+                                   0,
+                                   static_cast<double>(watch.hedgeNode));
                     }
                 }
             } else {
@@ -1482,9 +1476,8 @@ ShardedCluster::drainFeedbackRetries(sim::Tick windowEnd,
         if (_obs != nullptr) {
             _obs->counters().bump(obs::Counter::RecoveryRetries,
                                   retry.at);
-            _obs->emit(retry.at, obs::EventType::RecoveryRetry, 0,
-                       retry.function,
-                       static_cast<std::uint8_t>(target),
+            _obs->emit(retry.at, obs::EventType::RecoveryRetry, target,
+                       retry.function, 0,
                        static_cast<std::uint8_t>(
                            std::min<std::uint32_t>(retry.attempt, 255)));
         }

@@ -3,9 +3,8 @@
  * Sharded conservative-synchronization cluster core: one cluster run
  * on all cores, bit-identical at any shard and thread count.
  *
- * The legacy Cluster steps every node on one thread, advancing the
- * whole fleet to each arrival instant. The sharded core partitions
- * nodes into shards (node i -> shard i % shards), each stepping its
+ * The core partitions nodes into shards (node i -> shard
+ * i % shards), each stepping its
  * nodes' engines on a worker thread, and synchronizes them on a
  * barrier grid whose pitch is the *lookahead* L — the minimum
  * cross-node hop latency from the cost model. Because no effect can
@@ -47,6 +46,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "admission/circuit_breaker.hh"
 #include "cluster/cluster.hh"
 #include "cluster/node_health.hh"
 #include "trace/arrival_source.hh"
@@ -154,10 +154,10 @@ alignToBarrier(sim::Tick tick, sim::Tick pitch)
 }
 
 /**
- * The inbox drain order: (tick, kind, seq). Matches the legacy serial
- * cluster, which processes crashes due at an arrival instant before
- * the arrival itself. The seq tie-break is assigned globally by the
- * coordinator, so the order never depends on the partitioning.
+ * The inbox drain order: (tick, kind, seq): crashes due at an
+ * arrival instant are processed before the arrival itself. The seq
+ * tie-break is assigned globally by the coordinator, so the order
+ * never depends on the partitioning.
  */
 inline bool
 shardInputBefore(const ShardInput& a, const ShardInput& b)
@@ -169,11 +169,11 @@ shardInputBefore(const ShardInput& a, const ShardInput& b)
     return a.seq < b.seq;
 }
 
-/** A Cluster stepped by shards between conservative barriers. */
+/** A worker-node fleet stepped by shards between conservative barriers. */
 class ShardedCluster
 {
   public:
-    using PolicyFactory = Cluster::PolicyFactory;
+    using PolicyFactory = cluster::PolicyFactory;
 
     ShardedCluster(const workload::Catalog& catalog,
                    const PolicyFactory& factory, ClusterConfig config,
@@ -187,10 +187,12 @@ class ShardedCluster
     /**
      * Route and replay @p source to completion on all nodes, pulling
      * one arrival at a time: the cluster holds only the current
-     * window's arrivals, so RSS is O(window) regardless of trace
-     * length. Yields byte-identical results to the vector overload
-     * for the same arrival sequence (pinned by the streaming
-     * equivalence golden).
+     * window's arrivals, so arrival memory is O(window) regardless of
+     * trace length. Peak RSS still grows with the trace: every node's
+     * platform::Metrics keeps one record and one exact percentile
+     * sample per invocation. Yields byte-identical results to the
+     * vector overload for the same arrival sequence (pinned by the
+     * streaming equivalence golden).
      */
     ClusterResult run(trace::ArrivalSource& source);
 

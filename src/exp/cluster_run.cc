@@ -1,39 +1,8 @@
 #include "exp/cluster_run.hh"
 
-#include <algorithm>
 #include <ostream>
 
 namespace rc::exp {
-
-cluster::ClusterResult
-runCluster(const workload::Catalog& catalog, const PolicyFactory& factory,
-           const std::vector<trace::Arrival>& arrivals,
-           const ClusterRunConfig& config)
-{
-    cluster::ClusterConfig clusterConfig;
-    clusterConfig.nodes = config.nodes;
-    clusterConfig.node = config.node;
-    clusterConfig.scheduling = config.scheduling;
-    // The gray network model (ticketed dispatch, hedging, quarantine)
-    // and the recovery orchestrator (correlated domains) live in the
-    // sharded coordinator only; a network- or domain-active plan
-    // silently upgrades the legacy serial selection to one shard,
-    // which steps nodes serially anyway.
-    const bool wantsCoordinator = config.node.fault.network.active() ||
-                                  config.node.fault.domain.active();
-    if (config.shards == 0 && !wantsCoordinator) {
-        cluster::Cluster cluster(catalog, factory, clusterConfig);
-        return cluster.run(arrivals);
-    }
-    cluster::ShardedConfig sharded;
-    sharded.shards = std::max<std::size_t>(1, config.shards);
-    sharded.threads = config.threads;
-    sharded.cost = config.cost;
-    sharded.phaseTimings = config.phaseTimings;
-    cluster::ShardedCluster cluster(catalog, factory, clusterConfig,
-                                    sharded);
-    return cluster.run(arrivals);
-}
 
 cluster::ClusterResult
 runCluster(const workload::Catalog& catalog, const PolicyFactory& factory,
@@ -44,13 +13,22 @@ runCluster(const workload::Catalog& catalog, const PolicyFactory& factory,
     clusterConfig.node = config.node;
     clusterConfig.scheduling = config.scheduling;
     cluster::ShardedConfig sharded;
-    sharded.shards = std::max<std::size_t>(1, config.shards);
+    sharded.shards = config.shards;
     sharded.threads = config.threads;
     sharded.cost = config.cost;
     sharded.phaseTimings = config.phaseTimings;
     cluster::ShardedCluster cluster(catalog, factory, clusterConfig,
                                     sharded);
     return cluster.run(source);
+}
+
+cluster::ClusterResult
+runCluster(const workload::Catalog& catalog, const PolicyFactory& factory,
+           const std::vector<trace::Arrival>& arrivals,
+           const ClusterRunConfig& config)
+{
+    trace::VectorArrivalSource source(arrivals);
+    return runCluster(catalog, factory, source, config);
 }
 
 void

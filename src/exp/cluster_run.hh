@@ -1,8 +1,8 @@
 /**
  * @file
- * Cluster-mode experiment harness: one entry point that picks the
- * legacy serial core or the sharded parallel core, plus the CSV
- * writers the determinism suite diffs byte-for-byte.
+ * Cluster-mode experiment harness: one entry point onto the sharded
+ * cluster core, plus the CSV writers the determinism suite diffs
+ * byte-for-byte.
  */
 
 #ifndef RC_EXP_CLUSTER_RUN_HH_
@@ -23,49 +23,42 @@ struct ClusterRunConfig
     /** Routing policy. */
     cluster::Scheduling scheduling = cluster::Scheduling::LocalityAware;
     /**
-     * Node partitions for the sharded core; 0 selects the legacy
-     * serial Cluster (exact-state routing), >= 1 the sharded core
-     * (barrier-time summary routing). The two cores are distinct
-     * semantics: results are bit-identical across shard *counts*, not
-     * across the 0 / >= 1 boundary. A network-active fault plan
-     * (gray failures / hedging) or a domain-active one (correlated
-     * outages / recovery orchestration) upgrades 0 to 1 shard — the
-     * ticketed dispatch path and the recovery orchestrator live in
-     * the sharded coordinator only.
+     * Node partitions (clamped to [1, nodes]). Results are
+     * bit-identical at any shard count; only wall clock changes.
      */
-    std::size_t shards = 0;
-    /** Worker threads for the sharded core; 0 picks automatically. */
+    std::size_t shards = 1;
+    /** Worker threads stepping the shards; 0 picks automatically. */
     std::size_t threads = 0;
     /** Per-node configuration. */
     platform::NodeConfig node;
-    /** Hop latencies the sharded core derives its lookahead from. */
+    /** Hop latencies the core derives its lookahead from. */
     core::CostConfig cost;
     /**
-     * Measure the coordinator-phase wall-clock breakdown (sharded
-     * core only; see ClusterResult::coordinatorDrainNs). Off by
-     * default: the numbers are host-dependent and benchmarks are the
-     * only consumer.
+     * Measure the coordinator-phase wall-clock breakdown (see
+     * ClusterResult::coordinatorDrainNs). Off by default: the numbers
+     * are host-dependent and benchmarks are the only consumer.
      */
     bool phaseTimings = false;
 };
 
-/** Run @p factory's policy over @p arrivals on a cluster. */
-cluster::ClusterResult
-runCluster(const workload::Catalog& catalog, const PolicyFactory& factory,
-           const std::vector<trace::Arrival>& arrivals,
-           const ClusterRunConfig& config);
-
 /**
- * Streaming variant: pull arrivals from @p source instead of a
- * materialized vector, so resident memory stays O(window) regardless
- * of trace length. Always runs the sharded core (shards clamped to
- * >= 1): the legacy serial Cluster routes on exact state at each
- * arrival and has no windowed consumption to stream into. Results are
- * bit-identical to the vector overload with the same shard count.
+ * Run @p factory's policy over arrivals pulled from @p source on a
+ * cluster. Arrival memory stays O(window) regardless of trace length
+ * (per-invocation metrics still grow with it).
  */
 cluster::ClusterResult
 runCluster(const workload::Catalog& catalog, const PolicyFactory& factory,
            trace::ArrivalSource& source, const ClusterRunConfig& config);
+
+/**
+ * Materialized variant: replays @p arrivals through a
+ * trace::VectorArrivalSource, so results are bit-identical to the
+ * streaming overload for the same arrival sequence.
+ */
+cluster::ClusterResult
+runCluster(const workload::Catalog& catalog, const PolicyFactory& factory,
+           const std::vector<trace::Arrival>& arrivals,
+           const ClusterRunConfig& config);
 
 /**
  * One header + one row, every ClusterResult aggregate:

@@ -364,10 +364,10 @@ writeChromeTrace(std::ostream& os, const Observer& observer)
           }
           case EventType::ClusterRouted: {
             std::ostringstream args;
-            args << "\"node\": " << static_cast<int>(event.a)
+            args << "\"node\": " << event.container
                  << ", \"function\": \"" << functionLabel(event.function)
                  << "\"";
-            out.push_back({instant("routed", kPidCluster, event.a,
+            out.push_back({instant("routed", kPidCluster, event.container,
                                    event.tick, args.str())});
             break;
           }
@@ -403,7 +403,8 @@ writeChromeTrace(std::ostream& os, const Observer& observer)
           }
           case EventType::NodeCrashed: {
             std::ostringstream args;
-            args << "\"downtime_s\": " << event.arg0
+            args << "\"node\": " << event.container
+                 << ", \"downtime_s\": " << event.arg0
                  << ", \"retried\": " << event.arg1;
             out.push_back({instant("node_crash", kPidFaults, 0,
                                    event.tick, args.str())});
@@ -416,8 +417,9 @@ writeChromeTrace(std::ostream& os, const Observer& observer)
           }
           case EventType::FailoverRouted: {
             std::ostringstream args;
-            args << "\"to_node\": " << static_cast<int>(event.a)
-                 << ", \"from_node\": " << static_cast<int>(event.b);
+            args << "\"to_node\": " << event.container
+                 << ", \"from_node\": "
+                 << static_cast<std::uint64_t>(event.arg0);
             out.push_back({instant("failover", kPidFaults, 0, event.tick,
                                    args.str())});
             break;

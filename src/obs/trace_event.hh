@@ -9,7 +9,10 @@
  * the specific occurrence. Small enum-like arguments (layer, startup
  * type, decision action, kill cause) travel in two uint8 slots and
  * two doubles carry quantitative payload (memory MB, TTL seconds,
- * latencies), so no event ever allocates.
+ * latencies), so no event ever allocates. Node indices never travel
+ * in a uint8 slot: a node-scoped cluster event has no container, so
+ * its node rides in the 64-bit container slot, and a second node or
+ * a count travels in an exact double.
  *
  * The taxonomy deliberately mirrors the paper's Fig. 5 container
  * state machine: every container transition the FSM permits has
@@ -78,7 +81,7 @@ enum class EventType : std::uint8_t
     EvictionForMemory,    //!< policy-ranked victim killed to fit a cold
                           //!< start (arg0 = MB freed)
 
-    // Cluster: a = node index picked.
+    // Cluster: container = node index picked.
     ClusterRouted,
 
     // Engine (snapshot at end of run via Observer::recordEngineStats).
@@ -90,10 +93,12 @@ enum class EventType : std::uint8_t
     RetryScheduled,       //!< a = attempt number; arg0 = backoff s
     InvocationFailed,     //!< retries exhausted; a = attempts used
     ExecTimeoutKill,      //!< watchdog killed a wedged container
-    NodeCrashed,          //!< full pool loss; arg0 = downtime s,
+    NodeCrashed,          //!< full pool loss; container = node,
+                          //!< arg0 = downtime s,
                           //!< arg1 = invocations sent to retry
     NodeRestarted,        //!< node back up after its downtime
-    FailoverRouted,       //!< a = new node; b = crashed node
+    FailoverRouted,       //!< container = new node;
+                          //!< arg0 = crashed node
 
     // Overload control (rc::admission; appended after FailoverRouted
     // so pre-admission traces keep their numeric type ids).
@@ -108,36 +113,44 @@ enum class EventType : std::uint8_t
 
     // Gray-failure network model + tail-tolerant dispatch (appended
     // after BreakerStateChanged so earlier traces keep their ids).
-    HedgeLaunched,        //!< a = hedge node, b = primary node,
-                          //!< arg0 = primary's wait so far (s)
-    HedgeWon,             //!< hedge completed first; a = hedge node
-    HedgeCancelled,       //!< loser cancelled; a = its node
-    HedgeLost,            //!< loser finished anyway (duplicate work)
-    NodeQuarantined,      //!< arg0 = node, arg1 = its EWMA latency (s)
+    HedgeLaunched,        //!< container = hedge node, arg0 = primary's
+                          //!< wait so far (s), arg1 = primary node
+    // The hedge outcomes carry the primary's root span in container
+    // and the node in arg0.
+    HedgeWon,             //!< hedge completed first; arg0 = hedge node
+    HedgeCancelled,       //!< loser cancelled; arg0 = its node
+    HedgeLost,            //!< loser finished anyway (duplicate work);
+                          //!< arg0 = its node
+    NodeQuarantined,      //!< container = arg0 = node, b = old state,
+                          //!< arg1 = its EWMA latency (s)
     NodeProbed,           //!< probe routed to a probation node;
-                          //!< arg0 = node
-    NodeReadmitted,       //!< probation passed; arg0 = node
-    PartitionStart,       //!< a = severed-node count
-    PartitionEnd,         //!< a = restored-node count
-    MsgDelayed,           //!< a = target node; arg0 = delay (s)
-    MsgDropped,           //!< a = target node, b = retransmit count
-    NodeDegraded,         //!< gray window opened; arg0 = node,
+                          //!< container = node
+    NodeReadmitted,       //!< probation passed; container = arg0 = node
+    PartitionStart,       //!< arg0 = duration (s),
+                          //!< arg1 = severed-node count
+    PartitionEnd,         //!< arg1 = restored-node count
+    MsgDelayed,           //!< container = target node; arg0 = delay (s)
+    MsgDropped,           //!< container = target node,
+                          //!< b = retransmit count (capped at 255)
+    NodeDegraded,         //!< gray window opened; container = node,
+                          //!< arg0 = duration (s),
                           //!< arg1 = exec slowdown factor
 
     // Correlated failure domains + recovery orchestration (appended
     // after NodeDegraded so earlier traces keep their ids).
-    DomainOutage,         //!< correlated outage struck; a = node
-                          //!< count, arg0 = downtime (s)
+    DomainOutage,         //!< correlated outage struck;
+                          //!< arg0 = downtime (s), arg1 = node count
     NodeDrainStarted,     //!< planned upgrade: dispatch stopped;
-                          //!< arg0 = node
-    NodeDrained,          //!< drain ended; a = 1 when the timeout
-                          //!< killed it, 0 graceful; arg0 = node
-    NodeRejoinGranted,    //!< readmission token granted; arg0 = node,
-                          //!< arg1 = rejoin wait (s)
-    NodeWarmupDone,       //!< census warm-up finished; arg0 = node,
-                          //!< arg1 = layers prewarmed
+                          //!< container = node, arg0 = downtime (s)
+    NodeDrained,          //!< drain ended; container = node, a = 1
+                          //!< when the timeout killed it, 0 graceful
+    NodeRejoinGranted,    //!< readmission token granted;
+                          //!< container = node, arg0 = rejoin wait (s)
+    NodeWarmupDone,       //!< census warm-up finished; container =
+                          //!< node, arg0 = layers prewarmed
     RecoveryRetry,        //!< client feedback re-submitted a failed /
-                          //!< shed request; a = attempt number
+                          //!< shed request; container = target node,
+                          //!< b = attempt number (capped at 255)
 };
 
 /** Number of event types (for name tables). */
@@ -171,11 +184,12 @@ inline constexpr std::size_t kKillCauseCount =
 struct TraceEvent
 {
     sim::Tick tick = 0;            //!< simulated time (microseconds)
-    std::uint64_t container = 0;   //!< container id; 0 = none
+    std::uint64_t container = 0;   //!< container id; 0 = none. Node-
+                                   //!< scoped cluster events: node index
     std::uint32_t function = 0xffffffffU; //!< FunctionId; ~0 = none
     Category category = Category::Engine;
     EventType type = EventType::EngineStats;
-    std::uint8_t a = 0;            //!< small arg (layer/type/action/node)
+    std::uint8_t a = 0;            //!< small arg (layer/type/action)
     std::uint8_t b = 0;            //!< small arg (cause/layer)
     double arg0 = 0.0;             //!< payload (MB, seconds, counts)
     double arg1 = 0.0;             //!< payload

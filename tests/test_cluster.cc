@@ -1,16 +1,17 @@
 /**
  * @file
  * Tests for the §8 extensions: the multi-node cluster with
- * locality/sharing/load scheduling, and the tiered (NVM) caching
- * decorator.
+ * locality/sharing/load scheduling (on the cluster core at one
+ * shard), and the tiered (NVM) caching decorator.
  */
 
 #include <gtest/gtest.h>
 
-#include "cluster/cluster.hh"
+#include "cluster/sharded_cluster.hh"
 #include "core/ablations.hh"
 #include "core/tiered.hh"
 #include "exp/experiment.hh"
+#include "obs/observer.hh"
 #include "policy/openwhisk_fixed.hh"
 #include "trace/generator.hh"
 #include "workload/catalog.hh"
@@ -32,7 +33,7 @@ class ClusterTest : public ::testing::Test
         return *catalog.findByShortName(name);
     }
 
-    Cluster::PolicyFactory
+    PolicyFactory
     rainbowFactory() const
     {
         return [this] { return core::makeRainbowCake(catalog); };
@@ -56,7 +57,7 @@ TEST_F(ClusterTest, RejectsEmptyCluster)
 {
     ClusterConfig config;
     config.nodes = 0;
-    EXPECT_THROW(Cluster(catalog, rainbowFactory(), config),
+    EXPECT_THROW(ShardedCluster(catalog, rainbowFactory(), config),
                  std::runtime_error);
 }
 
@@ -72,7 +73,7 @@ TEST_F(ClusterTest, RoundRobinRotates)
     ClusterConfig config;
     config.nodes = 3;
     config.scheduling = Scheduling::RoundRobin;
-    Cluster cluster(catalog, rainbowFactory(), config);
+    ShardedCluster cluster(catalog, rainbowFactory(), config);
     std::vector<trace::Arrival> arrivals;
     for (int i = 0; i < 9; ++i)
         arrivals.push_back({i * kMinute, fid("MD-Py")});
@@ -88,7 +89,7 @@ TEST_F(ClusterTest, LocalityRoutesToWarmNode)
     ClusterConfig config;
     config.nodes = 4;
     config.scheduling = Scheduling::LocalityAware;
-    Cluster cluster(catalog, rainbowFactory(), config);
+    ShardedCluster cluster(catalog, rainbowFactory(), config);
     // Repeated invocations of one sparse function must converge onto
     // a single node (the one holding its warm container).
     std::vector<trace::Arrival> arrivals;
@@ -115,13 +116,13 @@ TEST_F(ClusterTest, RoundRobinWastesWarmthAcrossNodes)
     locality.nodes = 4;
     locality.scheduling = Scheduling::LocalityAware;
     const auto localityResult =
-        Cluster(catalog, rainbowFactory(), locality).run(arrivals);
+        ShardedCluster(catalog, rainbowFactory(), locality).run(arrivals);
 
     ClusterConfig rr;
     rr.nodes = 4;
     rr.scheduling = Scheduling::RoundRobin;
     const auto rrResult =
-        Cluster(catalog, rainbowFactory(), rr).run(arrivals);
+        ShardedCluster(catalog, rainbowFactory(), rr).run(arrivals);
 
     EXPECT_GT(rrResult.coldStarts, localityResult.coldStarts);
     EXPECT_GT(rrResult.totalStartupSeconds,
@@ -138,7 +139,7 @@ TEST_F(ClusterTest, AllInvocationsServedUnderEveryScheduling)
         config.nodes = 4;
         config.scheduling = scheduling;
         const auto result =
-            Cluster(catalog, rainbowFactory(), config).run(arrivals);
+            ShardedCluster(catalog, rainbowFactory(), config).run(arrivals);
         EXPECT_EQ(result.invocations, arrivals.size())
             << toString(scheduling);
         EXPECT_EQ(result.strandedInvocations, 0u) << toString(scheduling);
@@ -165,9 +166,9 @@ TEST_F(ClusterTest, LeastLoadedBalancesBetterThanLocality)
     la.nodes = 4;
     la.scheduling = Scheduling::LocalityAware;
     const auto balanced =
-        Cluster(catalog, rainbowFactory(), ll).run(arrivals);
+        ShardedCluster(catalog, rainbowFactory(), ll).run(arrivals);
     const auto local =
-        Cluster(catalog, rainbowFactory(), la).run(arrivals);
+        ShardedCluster(catalog, rainbowFactory(), la).run(arrivals);
     EXPECT_LE(imbalance(balanced), imbalance(local));
 }
 
@@ -178,7 +179,7 @@ TEST_F(ClusterTest, LocalityBeatsBlindSchedulingOnStartup)
         ClusterConfig config;
         config.nodes = 4;
         config.scheduling = scheduling;
-        return Cluster(catalog, rainbowFactory(), config).run(arrivals);
+        return ShardedCluster(catalog, rainbowFactory(), config).run(arrivals);
     };
     const auto locality = runWith(Scheduling::LocalityAware);
     const auto rr = runWith(Scheduling::RoundRobin);
@@ -194,7 +195,7 @@ TEST_F(ClusterTest, NodeCrashesFailOverWithoutLosingWork)
     config.node.fault.nodeDowntimeSeconds = 20.0;
     config.node.fault.maxRetries = 8;
     const auto result =
-        Cluster(catalog, rainbowFactory(), config).run(arrivals);
+        ShardedCluster(catalog, rainbowFactory(), config).run(arrivals);
     EXPECT_GT(result.nodeCrashes, 0u);
     EXPECT_GT(result.reroutedInvocations, 0u);
     // Failover conservation: re-routing shifts work between nodes but
@@ -215,12 +216,41 @@ TEST_F(ClusterTest, CrashScheduleIsIndependentOfScheduling)
         config.scheduling = scheduling;
         config.node.fault.nodeMtbfSeconds = 300.0;
         config.node.fault.nodeDowntimeSeconds = 20.0;
-        return Cluster(catalog, rainbowFactory(), config)
+        return ShardedCluster(catalog, rainbowFactory(), config)
             .run(arrivals)
             .nodeCrashes;
     };
     EXPECT_EQ(crashesWith(Scheduling::RoundRobin),
               crashesWith(Scheduling::LocalityAware));
+}
+
+TEST_F(ClusterTest, RoutedEventsCarryNodeIdsPast255)
+{
+    // Node indices travel in the 64-bit container slot, so a fleet
+    // wider than a uint8 still attributes every routing decision to
+    // the right node: per-node ClusterRouted counts must match the
+    // per-node completions exactly.
+    obs::Observer observer;
+    ClusterConfig config;
+    config.nodes = 300;
+    config.scheduling = Scheduling::RoundRobin;
+    config.node.observer = &observer;
+    std::vector<trace::Arrival> arrivals;
+    for (int i = 0; i < 900; ++i)
+        arrivals.push_back({i * kSecond, fid("MD-Py")});
+    const auto result =
+        ShardedCluster(catalog, rainbowFactory(), config).run(arrivals);
+    ASSERT_EQ(result.invocations, arrivals.size());
+
+    std::vector<std::uint64_t> routed(config.nodes, 0);
+    for (const auto& event : observer.events()) {
+        if (event.type != obs::EventType::ClusterRouted)
+            continue;
+        ASSERT_LT(event.container, config.nodes);
+        ++routed[event.container];
+    }
+    EXPECT_EQ(routed, result.perNodeInvocations);
+    EXPECT_EQ(routed.back(), 3u);
 }
 
 } // namespace

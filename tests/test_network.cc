@@ -525,17 +525,5 @@ TEST(GrayCluster, HedgedSpanTreesStayValid)
     EXPECT_GT(chainedRoots, 0u);
 }
 
-TEST(GrayCluster, NetworkPlanUpgradesTheLegacyShardSelection)
-{
-    // shards = 0 normally selects the legacy serial core, which has
-    // no ticketed dispatch; a network-active plan upgrades to the
-    // sharded core at one shard.
-    const auto arrivals = standardArrivals(10);
-    const auto upgraded = runGray(arrivals, grayPlan(), 0);
-    EXPECT_GT(upgraded.windows, 0u);
-    const auto one = runGray(arrivals, grayPlan(), 1);
-    EXPECT_EQ(fingerprint(upgraded), fingerprint(one));
-}
-
 } // namespace
 } // namespace rc

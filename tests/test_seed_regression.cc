@@ -528,7 +528,7 @@ TEST(SeedRegression, StreamingTierNumbersArePinnedAtAnyShardCount)
             EXPECT_EQ(csv.str(), golden) << shards << " shards";
     }
 
-    // The legacy materialized-vector contract yields the same bytes.
+    // The materialized-vector overload yields the same bytes.
     const auto arrivals = trace::expandArrivals(traceSet);
     const auto result = exp::runCluster(
         catalog, [&catalog] { return core::makeRainbowCake(catalog); },

@@ -276,7 +276,8 @@ TEST(ShardedCluster, FailoverDeliveryWaitsAtLeastOneLookahead)
         bool matched = false;
         for (const auto& crash : observer.events()) {
             if (crash.type == obs::EventType::NodeCrashed &&
-                crash.a == event.b &&
+                crash.container ==
+                    static_cast<std::uint64_t>(event.arg0) &&
                 crash.tick + lookahead <= event.tick) {
                 matched = true;
                 break;

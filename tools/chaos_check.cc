@@ -11,7 +11,8 @@
  * AdmissionPlan (rate limits, bounded queue, deadline shedding,
  * breakers, pressure control), picks one of the six baselines,
  * replays a generated trace on a single node and on a small cluster
- * with failover, and asserts:
+ * with failover (the sharded cluster core, at one shard unless
+ * --shards says otherwise), and asserts:
  *
  *  * conservation — every admitted invocation either completed,
  *    exhausted its retries, was rejected or shed by admission
@@ -37,11 +38,11 @@
  * conservation identities from cluster/conservation.hh plus the
  * byte-identical-fingerprint contract.
  *
- * --shards N additionally replays every run on the sharded parallel
- * cluster core (ShardedCluster) at N shards and again at 1 shard,
- * asserting the same conservation/breaker invariants on both plus the
- * sharded core's own contract: the report fingerprint is
- * bit-identical at any shard count. CI runs this configuration under
+ * The cluster replay runs twice, at 1 shard and at N shards
+ * (--shards N, default 1), asserting the conservation/breaker
+ * invariants on both plus the cluster core's own contract: the report
+ * fingerprint is bit-identical at any shard count (at the default it
+ * is a same-seed determinism twin). CI runs --shards 4 under
  * ThreadSanitizer so the worker/coordinator handshake is exercised
  * with real fault churn.
  *
@@ -51,13 +52,13 @@
 #include <algorithm>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "admission/admission_plan.hh"
 #include "admission/circuit_breaker.hh"
-#include "cluster/cluster.hh"
 #include "cluster/conservation.hh"
 #include "cluster/sharded_cluster.hh"
 #include "exp/cluster_run.hh"
@@ -350,64 +351,12 @@ runNode(const workload::Catalog& catalog, const exp::NamedPolicy& policy,
     return outcome;
 }
 
-void
-runClusterCheck(const workload::Catalog& catalog,
-                const exp::NamedPolicy& policy,
-                const std::vector<trace::Arrival>& arrivals,
-                const platform::NodeConfig& config,
-                const std::string& label)
-{
-    cluster::ClusterConfig clusterConfig;
-    clusterConfig.nodes = 3;
-    clusterConfig.node = config;
-    clusterConfig.node.pool.memoryBudgetMb = config.pool.memoryBudgetMb;
-    cluster::Cluster cluster(catalog, policy.make, clusterConfig);
-    const auto result = cluster.run(arrivals);
-
-    // Failover conservation: every extracted invocation was re-routed
-    // (admissions exceed arrivals by exactly the re-routed count), and
-    // each arrival still reaches exactly one terminal state.
-    std::uint64_t admitted = 0;
-    std::uint64_t extracted = 0;
-    std::size_t inFlight = 0;
-    std::size_t peakQueue = 0;
-    for (const auto& node : cluster.nodes()) {
-        admitted += node->invoker().admittedInvocations();
-        extracted += node->invoker().extractedInvocations();
-        inFlight += node->invoker().inFlightInvocations();
-        peakQueue =
-            std::max(peakQueue, node->invoker().peakQueueDepth());
-    }
-    expect(extracted == result.reroutedInvocations,
-           label + ": extracted != rerouted");
-    expect(cluster::conservation::admissionIdentity(
-               admitted, arrivals.size(), result.reroutedInvocations,
-               0, 0),
-           label + ": cluster admissions != arrivals + rerouted");
-    expect(cluster::conservation::fleetConservation(
-               result.invocations, result.failedInvocations,
-               result.strandedInvocations, extracted,
-               result.rejectedInvocations, result.shedDeadline,
-               result.shedPressure, 0, admitted),
-           label + ": cluster conservation broken");
-    expect(inFlight == 0, label + ": cluster in-flight work survived");
-    if (config.admission.maxQueueDepth > 0) {
-        expect(peakQueue <= config.admission.maxQueueDepth,
-               label + ": cluster queue depth exceeded its bound");
-    }
-
-    // Breaker histories must follow the FSM on every node.
-    for (std::size_t n = 0; n < cluster.breakers().size(); ++n) {
-        checkBreakerTransitions(cluster.breakers()[n],
-                                label + " node " + std::to_string(n));
-    }
-}
-
 /**
- * Replay the run on the sharded parallel core. Beyond the serial
- * cluster's conservation and breaker invariants, the sharded core
- * promises bit-identical reports at any shard count — checked here by
- * fingerprinting the run at @p shards against a 1-shard twin.
+ * Replay the run on a small cluster with failover. Beyond failover
+ * conservation, the queue bound, quiescence and breaker legality, the
+ * cluster core promises bit-identical reports at any shard count —
+ * checked here by fingerprinting the run at @p shards against a
+ * 1-shard twin.
  */
 void
 runShardedClusterCheck(const workload::Catalog& catalog,
@@ -432,6 +381,10 @@ runShardedClusterCheck(const workload::Catalog& catalog,
         const std::string passLabel = label + " shards=" +
                                       std::to_string(counts[pass]);
 
+        // Failover conservation: every extracted invocation was
+        // re-routed (admissions exceed arrivals by exactly the
+        // re-routed count), and each arrival still reaches exactly one
+        // terminal state.
         std::uint64_t admitted = 0;
         std::uint64_t extracted = 0;
         std::size_t inFlight = 0;
@@ -661,7 +614,7 @@ main(int argc, char** argv)
     std::uint64_t seed = 1;
     std::size_t runs = 4;
     std::size_t minutes = 20;
-    std::size_t shards = 0;
+    std::optional<std::size_t> shards;
     bool overload = false;
     bool gray = false;
     bool domains = false;
@@ -694,6 +647,10 @@ main(int argc, char** argv)
             minutes = std::stoul(value);
         } else if (arg == "--shards") {
             shards = std::stoul(value);
+            if (*shards < 1 || value.front() == '-') {
+                std::cerr << "--shards must be positive\n";
+                usage(2);
+            }
         } else {
             std::cerr << "unknown option " << arg << "\n";
             usage(2);
@@ -758,18 +715,17 @@ main(int argc, char** argv)
 
         if (domains) {
             // Domain mode exercises the recovery orchestrator on the
-            // sharded core only — the serial cores have no
-            // coordinator to host it.
+            // cluster only — a single node has no coordinator to host
+            // it.
             runDomainClusterCheck(catalog, policy, arrivals, config,
-                                  shards == 0 ? 4 : shards,
+                                  shards.value_or(4),
                                   label + " domains");
             continue;
         }
 
         if (gray) {
-            // Gray mode exercises the network plan on the sharded
-            // core only — the serial node/cluster cores do not speak
-            // the ticket protocol.
+            // Gray mode exercises the network plan on the cluster
+            // only — a single node does not speak the ticket protocol.
             runGrayClusterCheck(catalog, policy, arrivals, config,
                                 label + " gray");
             continue;
@@ -788,12 +744,8 @@ main(int argc, char** argv)
                   << first.shedDeadline + first.shedPressure
                   << ", peak queue " << first.peakQueueDepth << "\n";
 
-        runClusterCheck(catalog, policy, arrivals, config,
-                        label + " cluster");
-        if (shards > 0) {
-            runShardedClusterCheck(catalog, policy, arrivals, config,
-                                   shards, label + " sharded");
-        }
+        runShardedClusterCheck(catalog, policy, arrivals, config,
+                               shards.value_or(1), label + " cluster");
     }
 
     if (gFailures == 0) {

@@ -274,8 +274,8 @@ checkEvents(const std::string& path)
     // at least one probe behind it. A second NodeQuarantined without
     // an intervening readmission is the probation-breach edge and is
     // legal.
-    std::map<std::uint8_t, bool> inQuarantine;
-    std::map<std::uint8_t, std::uint64_t> probesSinceQuarantine;
+    std::map<std::uint64_t, bool> inQuarantine;
+    std::map<std::uint64_t, std::uint64_t> probesSinceQuarantine;
     std::uint64_t hedgesLaunched = 0;
     std::uint64_t hedgesWon = 0;
     std::uint64_t hedgesCancelled = 0;
@@ -286,27 +286,30 @@ checkEvents(const std::string& path)
             return;
         }
         last = event.tick;
+        // Node-scoped cluster events carry the node in the container
+        // slot (see obs::TraceEvent).
+        const std::uint64_t node = event.container;
         switch (event.type) {
         case obs::EventType::NodeQuarantined:
-            inQuarantine[event.a] = true;
-            probesSinceQuarantine[event.a] = 0;
+            inQuarantine[node] = true;
+            probesSinceQuarantine[node] = 0;
             break;
         case obs::EventType::NodeProbed:
-            if (!inQuarantine[event.a]) {
-                fail(path + ": node " + std::to_string(event.a) +
+            if (!inQuarantine[node]) {
+                fail(path + ": node " + std::to_string(node) +
                      " probed while healthy");
             }
-            ++probesSinceQuarantine[event.a];
+            ++probesSinceQuarantine[node];
             break;
         case obs::EventType::NodeReadmitted:
-            if (!inQuarantine[event.a]) {
-                fail(path + ": node " + std::to_string(event.a) +
+            if (!inQuarantine[node]) {
+                fail(path + ": node " + std::to_string(node) +
                      " readmitted while healthy");
-            } else if (probesSinceQuarantine[event.a] == 0) {
-                fail(path + ": node " + std::to_string(event.a) +
+            } else if (probesSinceQuarantine[node] == 0) {
+                fail(path + ": node " + std::to_string(node) +
                      " readmitted without a probe");
             }
-            inQuarantine[event.a] = false;
+            inQuarantine[node] = false;
             break;
         case obs::EventType::HedgeLaunched:
             ++hedgesLaunched;

@@ -14,12 +14,14 @@
  *   rainbow_sim --all --timelines                 # all six baselines
  */
 
+#include <algorithm>
 #include <cctype>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -64,7 +66,7 @@ struct Options
     std::string traceFile;     // non-empty: load Azure CSV
     std::string csvDir;        // non-empty: dump CSVs per policy
     std::string catalogFile;   // non-empty: load a custom catalog CSV
-    std::size_t threads = 0;   // 0: ParallelRunner default
+    std::size_t threads = 0;   // 0 (flag absent): ParallelRunner default
     std::string traceOut;      // non-empty: write Chrome trace JSON
     std::string eventsOut;     // non-empty: write JSONL event dump
     std::string spansOut;      // non-empty: write JSONL span dump
@@ -76,7 +78,7 @@ struct Options
     std::string domainPlan;    // non-empty: load a domain plan file
     double obsIntervalSeconds = 60.0; // counter snapshot interval
     std::size_t nodes = 0;     // > 0: cluster mode
-    std::size_t shards = 0;    // > 0: sharded parallel cluster core
+    std::optional<std::size_t> shards; // cluster mode; absent: 1
     bool stream = false;       // cluster mode: pull-based arrivals
     bool phaseTimings = false; // cluster mode: coordinator breakdown
     std::string scheduling = "locality-aware"; // cluster routing
@@ -129,12 +131,14 @@ usage(int code)
         "  --nodes N         cluster mode: route the trace across N\n"
         "                    worker nodes (budget-gb is per node)\n"
         "  --shards N        cluster mode: step nodes in N parallel\n"
-        "                    shards (results are bit-identical at any\n"
-        "                    N >= 1; 0 = legacy serial core)\n"
+        "                    shards, clamped to the node count\n"
+        "                    (default 1; results are bit-identical at\n"
+        "                    any N)\n"
         "  --stream          cluster mode: pull arrivals from the\n"
         "                    trace lazily instead of materializing\n"
-        "                    them (O(window) memory, bit-identical\n"
-        "                    results; always uses the sharded core)\n"
+        "                    them (arrival memory O(window); metrics\n"
+        "                    still grow with the trace; bit-identical\n"
+        "                    results)\n"
         "  --phase-timings   cluster mode: measure the coordinator\n"
         "                    wall-clock breakdown and, with --csv-dir,\n"
         "                    write coordinator_phases.csv (the numbers\n"
@@ -153,6 +157,19 @@ usage(int code)
         "                    src/fault/domain_plan.hh); needs --nodes\n"
         "  --help            this text\n";
     std::exit(code);
+}
+
+/**
+ * A node, shard or thread count: a positive integer. std::stoul
+ * alone would wrap "-1" to SIZE_MAX and let 0 through.
+ */
+std::size_t
+parseCount(const std::string& value)
+{
+    const unsigned long count = std::stoul(value);
+    if (count == 0 || value.find('-') != std::string::npos)
+        throw std::invalid_argument("count must be positive");
+    return static_cast<std::size_t>(count);
 }
 
 Options
@@ -194,8 +211,7 @@ parseArgs(int argc, char** argv)
             } else if (arg == "--csv-dir") {
                 options.csvDir = need(i);
             } else if (arg == "--threads") {
-                options.threads = static_cast<std::size_t>(
-                    std::stoul(need(i)));
+                options.threads = parseCount(need(i));
             } else if (arg == "--trace-out") {
                 options.traceOut = need(i);
             } else if (arg == "--events-out") {
@@ -217,11 +233,9 @@ parseArgs(int argc, char** argv)
             } else if (arg == "--domain-plan") {
                 options.domainPlan = need(i);
             } else if (arg == "--nodes") {
-                options.nodes = static_cast<std::size_t>(
-                    std::stoul(need(i)));
+                options.nodes = parseCount(need(i));
             } else if (arg == "--shards") {
-                options.shards = static_cast<std::size_t>(
-                    std::stoul(need(i)));
+                options.shards = parseCount(need(i));
             } else if (arg == "--stream") {
                 options.stream = true;
             } else if (arg == "--phase-timings") {
@@ -279,12 +293,12 @@ runClusterMode(const Options& options, const workload::Catalog& catalog,
     exp::ClusterRunConfig config;
     config.nodes = options.nodes;
     config.scheduling = parseScheduling(options.scheduling);
-    config.shards = options.shards;
+    config.shards = options.shards.value_or(1);
     config.threads = options.threads;
 
     // The cluster harness keeps this observer for routing events and
     // for the merged per-node span buffers (the nodes themselves run
-    // uninstrumented; see Cluster's ctor).
+    // uninstrumented; see the ShardedCluster ctor).
     std::unique_ptr<obs::Observer> observer;
     if (options.observabilityEnabled()) {
         observer = std::make_unique<obs::Observer>(
@@ -307,12 +321,11 @@ runClusterMode(const Options& options, const workload::Catalog& catalog,
         result = exp::runCluster(catalog, factory, arrivals, config);
     }
 
+    const std::size_t shards = std::min(config.shards, config.nodes);
     std::cout << "cluster: " << options.nodes << " nodes, "
-              << result.schedulingName << " routing";
-    if (options.shards > 0)
-        std::cout << ", " << options.shards << " shards ("
-                  << result.windows << " windows)";
-    std::cout << "\n"
+              << result.schedulingName << " routing, " << shards
+              << (shards == 1 ? " shard (" : " shards (")
+              << result.windows << " windows)\n"
               << "  invocations " << result.invocations << " (cold "
               << result.coldStarts << ", mean startup "
               << result.meanStartupSeconds << " s)\n"
@@ -570,7 +583,7 @@ int
 main(int argc, char** argv)
 {
     const Options options = parseArgs(argc, argv);
-    if (options.shards > 0 && options.nodes == 0) {
+    if (options.shards && options.nodes == 0) {
         std::cerr << "--shards requires --nodes\n";
         return 2;
     }
