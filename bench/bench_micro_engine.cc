@@ -2,17 +2,16 @@
  * @file
  * Engine hot-path benchmark suite with machine-readable output.
  *
- * Measures (a) raw event throughput of the indexed-heap engine,
- * (b) schedule/cancel throughput under the keep-alive renewal
- * pattern, (c) the same workloads on an in-file copy of the seed
- * engine (`LegacyEngine`: std::priority_queue + unordered_map of
- * std::function) so the speedup is computed in place, and (d)
- * end-to-end sweep wall-clock through `rc::exp::ParallelRunner` at 1
- * and N threads.
+ * Measures (a) raw event throughput of the engine at three
+ * same-tick multiplicities, (b) schedule/cancel throughput under the
+ * keep-alive renewal pattern, (c) end-to-end sweep wall-clock through
+ * `rc::exp::ParallelRunner` at 1 and N threads, and (d, e) the
+ * observer and span overhead ratios.
  *
  * Every measurement is appended to `BENCH_engine.json` with the
  * schema `{bench, metric, value, unit, threads}` so the performance
- * trajectory is tracked PR-over-PR.
+ * trajectory is tracked PR-over-PR; a `host :: cores` record states
+ * the core count the numbers were taken on.
  *
  * Flags:
  *   --quick        smaller batches/repetitions (CI smoke run)
@@ -28,9 +27,8 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <queue>
 #include <string>
-#include <unordered_map>
+#include <thread>
 #include <vector>
 
 #include "exp/experiment.hh"
@@ -45,72 +43,6 @@
 namespace {
 
 using namespace rc;
-
-/**
- * Faithful copy of the seed engine (PR 0): binary priority_queue of
- * {when, seq, id} plus an unordered_map<EventId, std::function> with
- * lazy tombstone skipping. Kept here, not in src/, purely as the
- * measurement baseline for speedup_vs_legacy.
- */
-class LegacyEngine
-{
-  public:
-    using Callback = std::function<void()>;
-
-    std::uint64_t
-    schedule(sim::Tick when, Callback cb)
-    {
-        const std::uint64_t id = _nextId++;
-        _queue.push(Entry{when, _nextSeq++, id});
-        _callbacks.emplace(id, std::move(cb));
-        return id;
-    }
-
-    bool cancel(std::uint64_t id) { return _callbacks.erase(id) > 0; }
-
-    void
-    run()
-    {
-        while (!_queue.empty()) {
-            const Entry entry = _queue.top();
-            _queue.pop();
-            auto it = _callbacks.find(entry.id);
-            if (it == _callbacks.end())
-                continue;
-            _now = entry.when;
-            Callback cb = std::move(it->second);
-            _callbacks.erase(it);
-            ++_executed;
-            cb();
-        }
-    }
-
-    std::uint64_t executedEvents() const { return _executed; }
-
-  private:
-    struct Entry
-    {
-        sim::Tick when;
-        std::uint64_t seq;
-        std::uint64_t id;
-
-        bool
-        operator>(const Entry& other) const
-        {
-            if (when != other.when)
-                return when > other.when;
-            return seq > other.seq;
-        }
-    };
-
-    sim::Tick _now = 0;
-    std::uint64_t _nextSeq = 0;
-    std::uint64_t _nextId = 1;
-    std::uint64_t _executed = 0;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
-        _queue;
-    std::unordered_map<std::uint64_t, Callback> _callbacks;
-};
 
 struct BenchRecord
 {
@@ -141,16 +73,15 @@ bestSeconds(int reps, const std::function<void()>& fn)
 }
 
 /**
- * schedule-then-drain pattern shared by new and legacy engines.
- * @p ticks controls same-tick multiplicity: ticks == batch gives
- * all-distinct timestamps (37 is coprime to the batch sizes used),
- * smaller values pile batch/ticks events onto each tick.
+ * schedule-then-drain pattern. @p ticks controls same-tick
+ * multiplicity: ticks == batch gives all-distinct timestamps (37 is
+ * coprime to the batch sizes used), smaller values pile batch/ticks
+ * events onto each tick.
  */
-template <typename EngineT>
 void
 scheduleDispatch(int batch, int ticks)
 {
-    EngineT engine;
+    sim::Engine engine;
     long long sum = 0;
     for (int i = 0; i < batch; ++i)
         engine.schedule((i * 37) % ticks, [&sum, i] { sum += i; });
@@ -160,12 +91,11 @@ scheduleDispatch(int batch, int ticks)
 }
 
 /** keep-alive renewal pattern: schedule all, cancel every other. */
-template <typename EngineT>
 void
 cancelHeavy(int batch)
 {
-    EngineT engine;
-    std::vector<std::uint64_t> ids;
+    sim::Engine engine;
+    std::vector<sim::EventId> ids;
     ids.reserve(static_cast<std::size_t>(batch));
     for (int i = 0; i < batch; ++i)
         ids.push_back(engine.schedule(i + 1, [] {}));
@@ -228,11 +158,16 @@ main(int argc, char** argv)
     const int largeBatch = quick ? 20000 : 100000;
     std::vector<BenchRecord> records;
 
-    // (a) Raw schedule+dispatch throughput, new engine vs. legacy, at
-    // three same-tick multiplicities. "mixed_sim" mirrors the measured
-    // eight-hour-sweep behaviour (~1.17 events per distinct tick);
-    // "shared20" is the bucket-friendly regime the tick-bucketed heap
-    // is built for; "distinct" is the adversarial all-unique case.
+    report(records,
+           {"host", "cores",
+            static_cast<double>(
+                std::max(1u, std::thread::hardware_concurrency())),
+            "cores", 1});
+
+    // (a) Raw schedule+dispatch throughput at three same-tick
+    // multiplicities. "mixed_sim" mirrors the measured eight-hour-sweep
+    // behaviour (~1.17 events per distinct tick); "shared20" piles 20
+    // events onto every tick; "distinct" has all-unique ticks.
     struct Pattern
     {
         const char* name;
@@ -245,21 +180,11 @@ main(int argc, char** argv)
     };
     for (const Pattern& pat : patterns) {
         const int batch = largeBatch;
-        const std::string suffix = std::string("/") + pat.name;
-        const double engineSec = bestSeconds(reps, [batch, &pat] {
-            scheduleDispatch<sim::Engine>(batch, pat.ticks);
-        });
-        const double legacySec = bestSeconds(reps, [batch, &pat] {
-            scheduleDispatch<LegacyEngine>(batch, pat.ticks);
-        });
-        report(records, {"engine_schedule_dispatch" + suffix,
+        const double engineSec = bestSeconds(
+            reps, [batch, &pat] { scheduleDispatch(batch, pat.ticks); });
+        report(records, {std::string("engine_schedule_dispatch/") +
+                             pat.name,
                          "events_per_sec", batch / engineSec, "events/s",
-                         1});
-        report(records, {"legacy_schedule_dispatch" + suffix,
-                         "events_per_sec", batch / legacySec, "events/s",
-                         1});
-        report(records, {"engine_schedule_dispatch" + suffix,
-                         "speedup_vs_legacy", legacySec / engineSec, "x",
                          1});
     }
 
@@ -269,15 +194,9 @@ main(int argc, char** argv)
         // ops = batch schedules + batch/2 cancels + batch/2 dispatches.
         const double ops = 2.0 * batch;
         const double engineSec =
-            bestSeconds(reps, [batch] { cancelHeavy<sim::Engine>(batch); });
-        const double legacySec =
-            bestSeconds(reps, [batch] { cancelHeavy<LegacyEngine>(batch); });
+            bestSeconds(reps, [batch] { cancelHeavy(batch); });
         report(records, {"engine_cancel_heavy", "ops_per_sec",
                          ops / engineSec, "ops/s", 1});
-        report(records, {"legacy_cancel_heavy", "ops_per_sec",
-                         ops / legacySec, "ops/s", 1});
-        report(records, {"engine_cancel_heavy", "speedup_vs_legacy",
-                         legacySec / engineSec, "x", 1});
     }
 
     // (c) End-to-end sweep wall-clock: the six §7.2 baselines on the

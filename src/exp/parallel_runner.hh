@@ -40,7 +40,7 @@ struct RunSpec
     const std::vector<trace::Arrival>* arrivals = nullptr;
     platform::NodeConfig config = {};
     /** Artifact tag for this run (e.g. a policy slug); may be empty. */
-    std::string runId;
+    std::string runId = {};
 };
 
 class ParallelRunner

@@ -152,6 +152,7 @@ struct ContainerTrack
     sim::Tick since = 0;
     std::uint8_t layer = 0;
     std::uint32_t function = 0xffffffffU;
+    EventType opener = EventType::ContainerCreated;
     bool named = false;
 };
 
@@ -206,6 +207,7 @@ writeChromeTrace(std::ostream& os, const Observer& observer)
     out.push_back({processName(kPidContainers, "containers")});
     out.push_back({processName(kPidInvocations, "invocations")});
     out.push_back({processName(kPidPolicy, "policy")});
+    out.push_back({processName(kPidCluster, "cluster")});
     out.push_back({processName(kPidFaults, "faults")});
 
     auto closeSpan = [&](std::uint64_t cid, ContainerTrack& track,
@@ -215,6 +217,7 @@ writeChromeTrace(std::ostream& os, const Observer& observer)
         std::ostringstream args;
         args << "\"layer\": \"" << layerName(track.layer)
              << "\", \"function\": \"" << functionLabel(track.function)
+             << "\", \"opened_by\": \"" << toString(track.opener)
              << "\"";
         out.push_back({slice(phaseName(track.phase, track.layer),
                              kPidContainers, cid, track.since, now,
@@ -229,87 +232,98 @@ writeChromeTrace(std::ostream& os, const Observer& observer)
                                   "container " + std::to_string(cid))});
     };
 
+    // Every event renders as a record that names its type: lifecycle
+    // events open container-phase slices ("opened_by"), completions
+    // close invocation slices, and everything else is an instant
+    // named toString(type) on the track it concerns.
+    const auto mark = [&](const TraceEvent& event, int pid,
+                          std::uint64_t tid, const std::string& args) {
+        out.push_back(
+            {instant(toString(event.type), pid, tid, event.tick, args)});
+    };
+    const auto nameFunction = [&](std::uint32_t function) {
+        if (functionNamed.insert(function).second) {
+            out.push_back({threadName(kPidInvocations, function,
+                                      functionLabel(function))});
+        }
+    };
+    // Node-scoped cluster events: one "cluster" track per node.
+    std::unordered_set<std::uint64_t> nodeNamed;
+    const auto markNode = [&](const TraceEvent& event, std::uint64_t node,
+                              const std::string& args) {
+        if (nodeNamed.insert(node).second) {
+            out.push_back({threadName(kPidCluster, node,
+                                      "node " + std::to_string(node))});
+        }
+        mark(event, kPidCluster, node, args);
+    };
+    const auto openPhase = [&](const TraceEvent& event,
+                               ContainerTrack::Phase phase)
+        -> ContainerTrack& {
+        ContainerTrack& track = trackOf(event.container);
+        closeSpan(event.container, track, event.tick);
+        track.phase = phase;
+        track.since = event.tick;
+        track.opener = event.type;
+        return track;
+    };
+    const auto nodeOf = [](double arg) {
+        return static_cast<std::uint64_t>(arg);
+    };
+
     for (const TraceEvent& event : observer.events()) {
         lastTick = event.tick;
+        std::ostringstream args;
         switch (event.type) {
-          case EventType::ContainerCreated: {
-            ContainerTrack& track = trackOf(event.container);
-            nameTrack(event.container, track);
-            track.phase = ContainerTrack::Phase::Init;
-            track.since = event.tick;
-            track.layer = event.a;
-            track.function = event.function;
-            break;
-          }
-          case EventType::ContainerInitDone: {
-            ContainerTrack& track = trackOf(event.container);
-            closeSpan(event.container, track, event.tick);
-            track.phase = ContainerTrack::Phase::Idle;
-            track.since = event.tick;
-            track.layer = event.a;
-            break;
-          }
+          case EventType::ContainerCreated:
           case EventType::ContainerUpgrade:
           case EventType::ContainerRepurpose: {
-            ContainerTrack& track = trackOf(event.container);
-            closeSpan(event.container, track, event.tick);
-            track.phase = ContainerTrack::Phase::Init;
-            track.since = event.tick;
+            ContainerTrack& track =
+                openPhase(event, ContainerTrack::Phase::Init);
+            nameTrack(event.container, track);
             track.layer = event.a;
             track.function = event.function;
             break;
           }
-          case EventType::ContainerExecBegin: {
-            ContainerTrack& track = trackOf(event.container);
-            closeSpan(event.container, track, event.tick);
-            track.phase = ContainerTrack::Phase::Busy;
-            track.since = event.tick;
+          case EventType::ContainerInitDone:
+          case EventType::ContainerDowngraded:
+            openPhase(event, ContainerTrack::Phase::Idle).layer = event.a;
             break;
-          }
-          case EventType::ContainerExecEnd: {
-            ContainerTrack& track = trackOf(event.container);
-            closeSpan(event.container, track, event.tick);
-            track.phase = ContainerTrack::Phase::Idle;
-            track.since = event.tick;
+          case EventType::ContainerExecBegin:
+            openPhase(event, ContainerTrack::Phase::Busy);
             break;
-          }
-          case EventType::ContainerDowngraded: {
-            ContainerTrack& track = trackOf(event.container);
-            closeSpan(event.container, track, event.tick);
-            track.phase = ContainerTrack::Phase::Idle;
-            track.since = event.tick;
-            track.layer = event.a;
+          case EventType::ContainerExecEnd:
+            openPhase(event, ContainerTrack::Phase::Idle);
             break;
-          }
-          case EventType::ContainerKilled: {
-            ContainerTrack& track = trackOf(event.container);
-            closeSpan(event.container, track, event.tick);
-            track.phase = ContainerTrack::Phase::None;
-            std::ostringstream args;
+          case EventType::ContainerKilled:
+            openPhase(event, ContainerTrack::Phase::None);
             args << "\"cause\": \""
                  << toString(static_cast<KillCause>(event.b))
                  << "\", \"freed_mb\": " << event.arg0;
-            out.push_back({instant("killed", kPidContainers,
-                                   event.container, event.tick,
-                                   args.str())});
+            mark(event, kPidContainers, event.container, args.str());
             break;
-          }
-          case EventType::ContainerSharedHit: {
-            out.push_back({instant("shared_hit", kPidContainers,
-                                   event.container, event.tick, "")});
+          case EventType::ContainerSharedHit:
+            mark(event, kPidContainers, event.container, "");
             break;
-          }
+          case EventType::InvocationArrived:
+          case EventType::InvocationQueued:
+            nameFunction(event.function);
+            mark(event, kPidInvocations, event.function, "");
+            break;
+          case EventType::InvocationDispatched:
+            nameFunction(event.function);
+            args << "\"startup_type\": \"" << startupName(event.a)
+                 << "\", \"container\": " << event.container;
+            mark(event, kPidInvocations, event.function, args.str());
+            break;
           case EventType::InvocationCompleted: {
             // arg0 = startup seconds, arg1 = end-to-end seconds; the
             // slice spans arrival -> completion on the function track.
             const sim::Tick e2e = sim::fromSeconds(event.arg1);
             const sim::Tick start = event.tick - e2e;
-            if (functionNamed.insert(event.function).second) {
-                out.push_back({threadName(kPidInvocations, event.function,
-                                          functionLabel(event.function))});
-            }
-            std::ostringstream args;
-            args << "\"startup_type\": \"" << startupName(event.a)
+            nameFunction(event.function);
+            args << "\"event\": \"" << toString(event.type)
+                 << "\", \"startup_type\": \"" << startupName(event.a)
                  << "\", \"startup_s\": " << event.arg0
                  << ", \"container\": " << event.container;
             out.push_back({slice(startupName(event.a), kPidInvocations,
@@ -317,118 +331,163 @@ writeChromeTrace(std::ostream& os, const Observer& observer)
                                  args.str(), startupColor(event.a))});
             break;
           }
-          case EventType::KeepAliveSet: {
-            std::ostringstream args;
+          case EventType::KeepAliveSet:
             args << "\"ttl_s\": " << event.arg0;
-            out.push_back({instant("keep_alive", kPidContainers,
-                                   event.container, event.tick,
-                                   args.str())});
+            mark(event, kPidContainers, event.container, args.str());
             break;
-          }
-          case EventType::IdleExpired: {
-            std::ostringstream args;
+          case EventType::IdleExpired:
             args << "\"action\": \"" << actionName(event.a)
                  << "\", \"layer\": \"" << layerName(event.b)
                  << "\", \"next_ttl_s\": " << event.arg0;
-            out.push_back({instant("idle_expired", kPidContainers,
-                                   event.container, event.tick,
-                                   args.str())});
+            mark(event, kPidContainers, event.container, args.str());
             break;
-          }
-          case EventType::PolicyDecision: {
-            std::ostringstream args;
+          case EventType::PolicyDecision:
             args << "\"layer\": \"" << layerName(event.a)
                  << "\", \"ttl_s\": " << event.arg0
                  << ", \"model_s\": " << event.arg1;
-            out.push_back({instant("decision", kPidPolicy, 0, event.tick,
-                                   args.str())});
+            mark(event, kPidPolicy, 0, args.str());
             break;
-          }
           case EventType::PrewarmScheduled:
           case EventType::PrewarmFired:
-          case EventType::PrewarmSkipped: {
-            std::ostringstream args;
+          case EventType::PrewarmSkipped:
             args << "\"function\": \"" << functionLabel(event.function)
                  << "\", \"delay_s\": " << event.arg0;
-            out.push_back({instant(toString(event.type), kPidPolicy, 0,
-                                   event.tick, args.str())});
+            mark(event, kPidPolicy, 0, args.str());
             break;
-          }
-          case EventType::EvictionForMemory: {
-            std::ostringstream args;
+          case EventType::PressureLevel:
+            args << "\"level\": " << static_cast<int>(event.a)
+                 << ", \"previous\": " << static_cast<int>(event.b)
+                 << ", \"smoothed\": " << event.arg0
+                 << ", \"raw\": " << event.arg1;
+            mark(event, kPidPolicy, 0, args.str());
+            break;
+          case EventType::EngineStats:
+            args << "\"executed\": " << event.arg0
+                 << ", \"cancelled\": " << event.arg1;
+            mark(event, kPidPolicy, 0, args.str());
+            break;
+          case EventType::EvictionForMemory:
             args << "\"freed_mb\": " << event.arg0;
-            out.push_back({instant("evicted", kPidContainers,
-                                   event.container, event.tick,
-                                   args.str())});
+            mark(event, kPidContainers, event.container, args.str());
             break;
-          }
-          case EventType::ClusterRouted: {
-            std::ostringstream args;
-            args << "\"node\": " << event.container
-                 << ", \"function\": \"" << functionLabel(event.function)
+          case EventType::ClusterRouted:
+            args << "\"function\": \"" << functionLabel(event.function)
                  << "\"";
-            out.push_back({instant("routed", kPidCluster, event.container,
-                                   event.tick, args.str())});
+            markNode(event, event.container, args.str());
             break;
-          }
-          case EventType::FaultInjected: {
-            std::ostringstream args;
+          case EventType::FaultInjected:
             args << "\"function\": \"" << functionLabel(event.function)
                  << "\", \"stage\": \"" << layerName(event.b) << "\"";
-            out.push_back({instant("fault", kPidFaults, event.container,
-                                   event.tick, args.str())});
+            mark(event, kPidFaults, event.container, args.str());
             break;
-          }
-          case EventType::RetryScheduled: {
-            std::ostringstream args;
+          case EventType::RetryScheduled:
             args << "\"function\": \"" << functionLabel(event.function)
                  << "\", \"attempt\": " << static_cast<int>(event.a)
                  << ", \"backoff_s\": " << event.arg0;
-            out.push_back({instant("retry", kPidFaults, 0, event.tick,
-                                   args.str())});
+            mark(event, kPidFaults, 0, args.str());
             break;
-          }
-          case EventType::InvocationFailed: {
-            std::ostringstream args;
+          case EventType::InvocationFailed:
             args << "\"function\": \"" << functionLabel(event.function)
                  << "\", \"attempts\": " << static_cast<int>(event.a);
-            out.push_back({instant("failed", kPidFaults, 0, event.tick,
-                                   args.str())});
+            mark(event, kPidFaults, 0, args.str());
             break;
-          }
-          case EventType::ExecTimeoutKill: {
-            out.push_back({instant("timeout_kill", kPidFaults,
-                                   event.container, event.tick, "")});
+          case EventType::AdmissionRejected:
+          case EventType::InvocationShed:
+            // a = reason: rate limit / queue full, or deadline /
+            // pressure (trace_event.hh).
+            args << "\"function\": \"" << functionLabel(event.function)
+                 << "\", \"reason\": " << static_cast<int>(event.a);
+            mark(event, kPidFaults, 0, args.str());
             break;
-          }
-          case EventType::NodeCrashed: {
-            std::ostringstream args;
+          case EventType::ExecTimeoutKill:
+            mark(event, kPidFaults, event.container, "");
+            break;
+          case EventType::NodeCrashed:
             args << "\"node\": " << event.container
                  << ", \"downtime_s\": " << event.arg0
                  << ", \"retried\": " << event.arg1;
-            out.push_back({instant("node_crash", kPidFaults, 0,
-                                   event.tick, args.str())});
+            mark(event, kPidFaults, 0, args.str());
             break;
-          }
-          case EventType::NodeRestarted: {
-            out.push_back({instant("node_restart", kPidFaults, 0,
-                                   event.tick, "")});
+          case EventType::NodeRestarted:
+            mark(event, kPidFaults, 0, "");
             break;
-          }
-          case EventType::FailoverRouted: {
-            std::ostringstream args;
+          case EventType::FailoverRouted:
             args << "\"to_node\": " << event.container
-                 << ", \"from_node\": "
-                 << static_cast<std::uint64_t>(event.arg0);
-            out.push_back({instant("failover", kPidFaults, 0, event.tick,
-                                   args.str())});
+                 << ", \"from_node\": " << nodeOf(event.arg0);
+            mark(event, kPidFaults, 0, args.str());
             break;
-          }
-          case EventType::InvocationArrived:
-          case EventType::InvocationQueued:
-          case EventType::InvocationDispatched:
-          case EventType::EngineStats:
-            // Present in the JSONL dump; no useful visual track here.
+          case EventType::PartitionStart:
+            args << "\"duration_s\": " << event.arg0
+                 << ", \"severed_nodes\": " << event.arg1;
+            mark(event, kPidFaults, 0, args.str());
+            break;
+          case EventType::PartitionEnd:
+            args << "\"restored_nodes\": " << event.arg1;
+            mark(event, kPidFaults, 0, args.str());
+            break;
+          case EventType::DomainOutage:
+            args << "\"downtime_s\": " << event.arg0
+                 << ", \"nodes\": " << event.arg1;
+            mark(event, kPidFaults, 0, args.str());
+            break;
+          case EventType::BreakerStateChanged:
+            args << "\"state\": " << static_cast<int>(event.a)
+                 << ", \"previous\": " << static_cast<int>(event.b);
+            markNode(event, nodeOf(event.arg0), args.str());
+            break;
+          case EventType::HedgeLaunched:
+            args << "\"primary_node\": " << nodeOf(event.arg1)
+                 << ", \"waited_s\": " << event.arg0;
+            markNode(event, event.container, args.str());
+            break;
+          case EventType::HedgeWon:
+          case EventType::HedgeCancelled:
+          case EventType::HedgeLost:
+            args << "\"root_span\": " << event.container;
+            markNode(event, nodeOf(event.arg0), args.str());
+            break;
+          case EventType::NodeQuarantined:
+            args << "\"previous\": " << static_cast<int>(event.b)
+                 << ", \"ewma_s\": " << event.arg1;
+            markNode(event, event.container, args.str());
+            break;
+          case EventType::NodeProbed:
+          case EventType::NodeReadmitted:
+            markNode(event, event.container, "");
+            break;
+          case EventType::MsgDelayed:
+            args << "\"delay_s\": " << event.arg0;
+            markNode(event, event.container, args.str());
+            break;
+          case EventType::MsgDropped:
+            args << "\"retransmits\": " << static_cast<int>(event.b);
+            markNode(event, event.container, args.str());
+            break;
+          case EventType::NodeDegraded:
+            args << "\"duration_s\": " << event.arg0
+                 << ", \"slowdown\": " << event.arg1;
+            markNode(event, event.container, args.str());
+            break;
+          case EventType::NodeDrainStarted:
+            args << "\"downtime_s\": " << event.arg0;
+            markNode(event, event.container, args.str());
+            break;
+          case EventType::NodeDrained:
+            args << "\"timed_out\": " << static_cast<int>(event.a);
+            markNode(event, event.container, args.str());
+            break;
+          case EventType::NodeRejoinGranted:
+            args << "\"wait_s\": " << event.arg0;
+            markNode(event, event.container, args.str());
+            break;
+          case EventType::NodeWarmupDone:
+            args << "\"layers\": " << event.arg0;
+            markNode(event, event.container, args.str());
+            break;
+          case EventType::RecoveryRetry:
+            args << "\"function\": \"" << functionLabel(event.function)
+                 << "\", \"attempt\": " << static_cast<int>(event.b);
+            markNode(event, event.container, args.str());
             break;
         }
     }

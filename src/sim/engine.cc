@@ -1,168 +1,26 @@
 #include "sim/engine.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
 
 namespace rc::sim {
 
-// ---------------------------------------------------------------------------
-// Slot and bucket pools
-
-std::uint32_t
-Engine::acquireSlot(InplaceCallback&& cb)
-{
-    if (_freeSlots.empty()) {
-        const auto slot = static_cast<std::uint32_t>(_cbs.size());
-        _cbs.push_back(std::move(cb));
-        _events.emplace_back();
-        return slot;
-    }
-    const std::uint32_t slot = _freeSlots.back();
-    _freeSlots.pop_back();
-    _cbs[slot] = std::move(cb);
-    return slot;
-}
-
 void
 Engine::releaseSlot(std::uint32_t slot)
 {
     _cbs[slot].reset();
-    EventMeta& ev = _events[slot];
-    ev.bucket = kNil;
-    ++ev.generation;
+    ++_generations[slot];
     _freeSlots.push_back(slot);
-}
-
-std::uint32_t
-Engine::acquireBucket(Tick when, std::uint32_t slot)
-{
-    if (_freeBuckets.empty()) {
-        const auto bucket = static_cast<std::uint32_t>(_buckets.size());
-        _buckets.push_back(Bucket{when, slot, slot, 0});
-        return bucket;
-    }
-    const std::uint32_t bucket = _freeBuckets.back();
-    _freeBuckets.pop_back();
-    _buckets[bucket] = Bucket{when, slot, slot, 0};
-    return bucket;
-}
-
-void
-Engine::releaseBucket(std::uint32_t bucket)
-{
-    _freeBuckets.push_back(bucket);
-}
-
-// ---------------------------------------------------------------------------
-// Tick -> bucket map (linear probing, backward-shift deletion)
-
-std::size_t
-Engine::hashTick(Tick when)
-{
-    // splitmix64 finisher: ticks are often multiples of large powers
-    // of ten (second/minute boundaries), so low bits need mixing.
-    auto x = static_cast<std::uint64_t>(when);
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x);
-}
-
-void
-Engine::mapGrow()
-{
-    // Grow 4x from a 1k floor: fewer rehash passes (each pass zeroes
-    // and re-places the whole table) at a bounded memory premium.
-    const std::size_t newSize = _map.empty() ? 1024 : _map.size() * 4;
-    std::vector<MapEntry> old = std::move(_map);
-    _map.assign(newSize, MapEntry{});
-    const std::size_t mask = newSize - 1;
-    for (const MapEntry& entry : old) {
-        if (entry.key == kEmptyKey)
-            continue;
-        std::size_t i = entry.hash & mask;
-        while (_map[i].key != kEmptyKey)
-            i = (i + 1) & mask;
-        _map[i] = entry;
-        _buckets[entry.value].mapIndex = static_cast<std::uint32_t>(i);
-    }
-}
-
-void
-Engine::mapEraseAt(std::size_t hole)
-{
-    const std::size_t mask = _map.size() - 1;
-    // Backward-shift deletion keeps probe chains tombstone-free: any
-    // entry probing past the hole is pulled back into it.
-    std::size_t i = hole;
-    for (;;) {
-        i = (i + 1) & mask;
-        if (_map[i].key == kEmptyKey)
-            break;
-        const std::size_t ideal = _map[i].hash & mask;
-        if (((i - ideal) & mask) >= ((i - hole) & mask)) {
-            _map[hole] = _map[i];
-            _buckets[_map[i].value].mapIndex =
-                static_cast<std::uint32_t>(hole);
-            hole = i;
-        }
-    }
-    _map[hole].key = kEmptyKey;
-    --_mapLive;
-}
-
-// ---------------------------------------------------------------------------
-// Indexed 4-ary heap of buckets
-
-void
-Engine::siftUp(std::size_t pos, HeapNode node)
-{
-    while (pos > 0) {
-        const std::size_t parent = (pos - 1) / 4;
-        if (!before(node, _heap[parent]))
-            break;
-        _heap[pos] = _heap[parent];
-        pos = parent;
-    }
-    _heap[pos] = node;
-}
-
-void
-Engine::siftDown(std::size_t pos, HeapNode node)
-{
-    const std::size_t size = _heap.size();
-    for (;;) {
-        const std::size_t first = 4 * pos + 1;
-        if (first >= size)
-            break;
-        std::size_t best = first;
-        const std::size_t last = std::min(first + 4, size);
-        for (std::size_t child = first + 1; child < last; ++child) {
-            if (before(_heap[child], _heap[best]))
-                best = child;
-        }
-        if (!before(_heap[best], node))
-            break;
-        _heap[pos] = _heap[best];
-        pos = best;
-    }
-    _heap[pos] = node;
 }
 
 void
 Engine::popFront()
 {
-    const HeapNode moved = _heap.back();
+    std::pop_heap(_heap.begin(), _heap.end(), later);
     _heap.pop_back();
-    if (!_heap.empty())
-        siftDown(0, moved);
 }
-
-// ---------------------------------------------------------------------------
-// Public API
 
 EventId
 Engine::schedule(Tick when, Callback cb)
@@ -171,49 +29,23 @@ Engine::schedule(Tick when, Callback cb)
         throw std::invalid_argument(
             "Engine::schedule: event time is in the past");
     }
-    const std::uint32_t slot = acquireSlot(std::move(cb));
-    EventMeta& ev = _events[slot];
-    ev.next = kNil;
-
-    // Grow before probing (load factor 1/2: short clusters, cheap
-    // backward-shift erases) so one probe serves both lookup and
-    // insert.
-    if (_map.empty() || (_mapLive + 1) * 2 > _map.size())
-        mapGrow();
-    const std::size_t mask = _map.size() - 1;
-    const auto hash = static_cast<std::uint32_t>(hashTick(when));
-    std::size_t i = hash & mask;
-    while (_map[i].key != kEmptyKey && _map[i].key != when)
-        i = (i + 1) & mask;
-
-    if (_map[i].key == when) {
-        // Same-tick append: O(1), no heap traffic at all.
-        const std::uint32_t bucket = _map[i].value;
-        Bucket& bk = _buckets[bucket];
-        ev.bucket = bucket;
-        if (bk.head == kNil) {
-            // Revive a bucket drained by cancellation.
-            ev.prev = kNil;
-            bk.head = slot;
-            bk.tail = slot;
-        } else {
-            ev.prev = bk.tail;
-            _events[bk.tail].next = slot;
-            bk.tail = slot;
-        }
+    std::uint32_t slot;
+    if (_freeSlots.empty()) {
+        slot = static_cast<std::uint32_t>(_cbs.size());
+        _cbs.push_back(std::move(cb));
+        _generations.push_back(1);
     } else {
-        const std::uint32_t bucket = acquireBucket(when, slot);
-        ev.prev = kNil;
-        ev.bucket = bucket;
-        _map[i] = MapEntry{when, bucket, hash};
-        ++_mapLive;
-        _buckets[bucket].mapIndex = static_cast<std::uint32_t>(i);
-        _heap.emplace_back();
-        siftUp(_heap.size() - 1, HeapNode{when, bucket});
+        slot = _freeSlots.back();
+        _freeSlots.pop_back();
+        _cbs[slot] = std::move(cb);
     }
+    const std::uint32_t generation = _generations[slot];
+    // The schedule counter doubles as the FIFO tie-break.
+    _heap.push_back(Entry{when, _scheduled, slot, generation});
+    std::push_heap(_heap.begin(), _heap.end(), later);
     ++_live;
     ++_scheduled;
-    return makeId(slot, ev.generation);
+    return makeId(slot, generation);
 }
 
 EventId
@@ -228,14 +60,10 @@ std::uint32_t
 Engine::decodeLive(EventId id) const
 {
     const std::uint64_t low = id & 0xffffffffu;
-    if (low == 0)
+    if (low == 0 || low > _generations.size())
         return kNil;
     const auto slot = static_cast<std::uint32_t>(low - 1);
-    if (slot >= _events.size())
-        return kNil;
-    const EventMeta& ev = _events[slot];
-    if (ev.generation != static_cast<std::uint32_t>(id >> 32) ||
-        ev.bucket == kNil)
+    if (_generations[slot] != static_cast<std::uint32_t>(id >> 32))
         return kNil;
     return slot;
 }
@@ -246,24 +74,9 @@ Engine::cancel(EventId id)
     const std::uint32_t slot = decodeLive(id);
     if (slot == kNil)
         return false;
-
-    EventMeta& ev = _events[slot];
-    const std::uint32_t bucket = ev.bucket;
-    Bucket& bk = _buckets[bucket];
-    if (ev.prev != kNil)
-        _events[ev.prev].next = ev.next;
-    else
-        bk.head = ev.next;
-    if (ev.next != kNil)
-        _events[ev.next].prev = ev.prev;
-    else
-        bk.tail = ev.prev;
-
-    // A bucket drained by cancellation stays in heap and map as an
-    // empty node: a later same-tick schedule revives it in O(1), and
-    // pruneFront() collects it if it surfaces unrevived. This keeps
-    // cancel() itself O(1) — the keep-alive renewal pattern cancels
-    // and reschedules constantly.
+    // The heap entry stays behind, stale; pruneFront() drops it when
+    // it surfaces. Cancel itself never touches the heap — the
+    // keep-alive renewal pattern cancels and reschedules constantly.
     releaseSlot(slot);
     --_live;
     ++_cancelled;
@@ -277,51 +90,30 @@ Engine::pending(EventId id) const
 }
 
 void
+Engine::pruneFront()
+{
+    while (!_heap.empty() &&
+           _heap.front().generation != _generations[_heap.front().slot])
+        popFront();
+}
+
+void
 Engine::dispatchFront()
 {
-    const std::uint32_t bucket = _heap[0].bucket;
-    Bucket& bk = _buckets[bucket];
-    const Tick when = bk.when;
-    assert(when >= _now && "event queue must be monotonic");
-
-    const std::uint32_t slot = bk.head;
-    const std::uint32_t next = _events[slot].next;
+    const Entry front = _heap.front();
+    assert(front.when >= _now && "event queue must be monotonic");
+    popFront();
 
     // Move the callback out and retire the event *before* invoking,
     // so the callback may freely schedule or cancel other events
     // (including re-entrant patterns).
-    InplaceCallback cb = std::move(_cbs[slot]);
-    releaseSlot(slot);
-    if (next == kNil) {
-        // Drained by dispatch: collect eagerly — a callback that
-        // schedules for the current tick just creates a fresh bucket,
-        // which lands at the heap front and fires next, preserving
-        // FIFO.
-        mapEraseAt(bk.mapIndex);
-        popFront();
-        releaseBucket(bucket);
-    } else {
-        bk.head = next;
-        _events[next].prev = kNil;
-    }
+    InplaceCallback cb = std::move(_cbs[front.slot]);
+    releaseSlot(front.slot);
     --_live;
 
-    _now = when;
+    _now = front.when;
     ++_executed;
     cb();
-}
-
-void
-Engine::pruneFront()
-{
-    while (!_heap.empty()) {
-        const std::uint32_t bucket = _heap[0].bucket;
-        if (_buckets[bucket].head != kNil)
-            return;
-        mapEraseAt(_buckets[bucket].mapIndex);
-        popFront();
-        releaseBucket(bucket);
-    }
 }
 
 bool
@@ -337,11 +129,7 @@ Engine::step()
 void
 Engine::run()
 {
-    for (;;) {
-        pruneFront();
-        if (_heap.empty())
-            return;
-        dispatchFront();
+    while (step()) {
     }
 }
 
@@ -350,39 +138,12 @@ Engine::runUntil(Tick horizon)
 {
     for (;;) {
         pruneFront();
-        if (_heap.empty() || _heap[0].when > horizon)
+        if (_heap.empty() || _heap.front().when > horizon)
             break;
         dispatchFront();
     }
     if (_now < horizon)
         _now = horizon;
-}
-
-void
-Engine::clear()
-{
-    _heap.clear();
-    _buckets.clear();
-    _freeBuckets.clear();
-    _freeSlots.clear();
-    _map.clear();
-    _mapLive = 0;
-    // Bump every generation so handles issued before clear() can
-    // never alias an event scheduled after it. Refill the free list
-    // back-to-front so a cleared engine hands out slots 0, 1, 2, ...
-    // exactly like a fresh one.
-    for (std::size_t i = _events.size(); i-- > 0;) {
-        _cbs[i].reset();
-        EventMeta& ev = _events[i];
-        ev.bucket = kNil;
-        ++ev.generation;
-        _freeSlots.push_back(static_cast<std::uint32_t>(i));
-    }
-    _now = 0;
-    _executed = 0;
-    _scheduled = 0;
-    _cancelled = 0;
-    _live = 0;
 }
 
 } // namespace rc::sim

@@ -2,35 +2,32 @@
  * @file
  * Discrete-event simulation engine.
  *
- * The engine owns an indexed 4-ary min-heap of *tick buckets*: one
- * heap node per distinct pending timestamp, each holding an intrusive
- * FIFO list of that tick's events. Events scheduled for the same tick
- * fire in scheduling order (FIFO), which makes runs fully
- * deterministic. Scheduled events can be cancelled, which is the
- * mechanism behind keep-alive TTL renewal: a container cancels its
- * pending timeout when it is reused and schedules a fresh one when it
- * goes idle again.
+ * The event queue is one binary min-heap of 24-byte POD entries
+ * `{tick, seq, slot, generation}`, ordered by `(tick, seq)`. `seq` is
+ * the schedule counter, so events scheduled for the same tick fire in
+ * scheduling order (FIFO) and every run is fully deterministic.
+ * Scheduled events can be cancelled, which is the mechanism behind
+ * keep-alive TTL renewal: a container cancels its pending timeout when
+ * it is reused and schedules a fresh one when it goes idle again.
  *
- * Hot-path layout:
+ * Layout:
  *  - callbacks are `InplaceCallback`s (48-byte small-buffer storage,
- *    no per-event heap allocation) living in a stable slot table;
- *  - heap nodes are 16-byte PODs, so sift operations move PODs only,
- *    and because simulated workloads pile many events onto the same
- *    tick (keep-alive expiries, per-minute arrival buckets) the heap
- *    holds one node per *distinct* tick — sift work is amortised over
- *    every event sharing the timestamp;
- *  - a flat open-addressing table maps tick -> bucket for O(1)
- *    same-tick appends;
- *  - cancel() unlinks from the bucket list in O(1). A bucket drained
- *    by cancellation stays in the heap as an empty node that a later
- *    same-tick schedule revives in O(1); exhausted buckets are
- *    collected with an O(log n) pop when they surface at the heap
- *    front. Removal only ever happens at the front, so sifting never
- *    maintains back-pointers. Unlike the earlier priority_queue
- *    design there is no per-event tombstone and no per-pop map
- *    lookup, and pendingEvents() is always exact;
- *  - slots carry a generation counter so stale handles stay harmless
- *    no-ops.
+ *    no per-event heap allocation) living in a stable slot table, and
+ *    each slot carries a generation counter, so an `EventId` is
+ *    `(generation << 32 | slot + 1)` and stale handles are harmless
+ *    no-ops;
+ *  - cancel() is generation-lazy: it frees the slot and its callback
+ *    at once and bumps the generation, which turns the heap entry
+ *    stale; stale entries are dropped when they reach the front. The
+ *    heap itself is never searched, and pendingEvents() counts live
+ *    events exactly.
+ *
+ * Why a plain heap: simulated traffic rarely shares a tick. The
+ * eight-hour sweep mix averages ~1.17 events per distinct tick, and
+ * on such streams an earlier tick-bucketed 4-ary heap (tick -> bucket
+ * hash map plus per-tick FIFO lists) ran at 0.6-0.75x of a plain
+ * `(tick, seq)` priority queue; it won only when ~20 events shared
+ * every tick. DESIGN.md §7.1 has the numbers.
  */
 
 #ifndef RC_SIM_ENGINE_HH_
@@ -107,24 +104,16 @@ class Engine
     /** Execute at most one event. @return false if the queue is empty. */
     bool step();
 
-    /**
-     * Reset to a freshly-constructed state for reuse between runs:
-     * drops all pending events and rewinds the clock and counters.
-     * Handles issued before clear() remain safely cancellable no-ops
-     * (every slot generation is bumped).
-     */
-    void clear();
-
     /** Current simulated time. */
     Tick now() const { return _now; }
 
-    /** Number of events executed since construction (or clear()). */
+    /** Number of events executed since construction. */
     std::uint64_t executedEvents() const { return _executed; }
 
-    /** Number of schedule() calls since construction (or clear()). */
+    /** Number of schedule() calls since construction. */
     std::uint64_t scheduledEvents() const { return _scheduled; }
 
-    /** Number of successful cancels since construction (or clear()). */
+    /** Number of successful cancels since construction. */
     std::uint64_t cancelledEvents() const { return _cancelled; }
 
     /** Number of live (scheduled, non-cancelled) events. */
@@ -132,7 +121,7 @@ class Engine
 
     /**
      * Earliest pending tick, or Tick's max when the queue is empty.
-     * Conservative: the front bucket may hold only cancelled events,
+     * Conservative: the front entry may belong to a cancelled event,
      * so the returned tick can be earlier than the next event that
      * will actually fire — callers may poll too early, never too
      * late. The sharded cluster core uses this to skip idle nodes in
@@ -142,56 +131,26 @@ class Engine
     nextEventAt() const
     {
         return _heap.empty() ? std::numeric_limits<Tick>::max()
-                             : _heap[0].when;
+                             : _heap.front().when;
     }
 
   private:
     static constexpr std::uint32_t kNil = 0xffffffffu;
-    static constexpr Tick kEmptyKey = -1; // valid whens are >= 0
 
-    /** POD heap node: one per distinct pending tick. */
-    struct HeapNode
+    /** Heap entry; stale once its slot's generation has moved on. */
+    struct Entry
     {
         Tick when;
-        std::uint32_t bucket;
+        std::uint64_t seq;
+        std::uint32_t slot;
+        std::uint32_t generation;
     };
 
-    /** FIFO list of the events pending at one tick. */
-    struct Bucket
-    {
-        Tick when;
-        std::uint32_t head;
-        std::uint32_t tail;
-        std::uint32_t mapIndex; // this bucket's slot in _map
-    };
-
-    /**
-     * Per-event bookkeeping, kept separate from the callback storage
-     * so link updates touch a dense 16-byte-stride array. A slot is
-     * live iff bucket != kNil.
-     */
-    struct EventMeta
-    {
-        std::uint32_t next = kNil;
-        std::uint32_t prev = kNil;
-        std::uint32_t bucket = kNil;
-        std::uint32_t generation = 1;
-    };
-
-    /** Open-addressing tick -> bucket entry. */
-    struct MapEntry
-    {
-        Tick key = kEmptyKey;
-        std::uint32_t value = 0;
-        std::uint32_t hash = 0; // low bits of hashTick(key), cached
-    };
-
+    /** Heap comparator: true if @p a fires after @p b. */
     static bool
-    before(const HeapNode& a, const HeapNode& b)
+    later(const Entry& a, const Entry& b)
     {
-        // One bucket per tick, so keys are unique and FIFO ordering
-        // lives entirely inside the bucket lists.
-        return a.when < b.when;
+        return a.when != b.when ? a.when > b.when : a.seq > b.seq;
     }
 
     static EventId
@@ -203,26 +162,16 @@ class Engine
                static_cast<EventId>(slot + 1);
     }
 
-    static std::size_t hashTick(Tick when);
-
     /** @return slot index for @p id, or kNil if not pending. */
     std::uint32_t decodeLive(EventId id) const;
 
-    std::uint32_t acquireSlot(InplaceCallback&& cb);
+    /** Drop the callback and retire the slot's current generation. */
     void releaseSlot(std::uint32_t slot);
-    std::uint32_t acquireBucket(Tick when, std::uint32_t slot);
-    void releaseBucket(std::uint32_t bucket);
 
-    /** Backward-shift erase of _map[hole] (keeps probes chain-free). */
-    void mapEraseAt(std::size_t hole);
-    void mapGrow();
-
-    void siftUp(std::size_t pos, HeapNode node);
-    void siftDown(std::size_t pos, HeapNode node);
-    /** Remove the heap front, restoring heap order. */
+    /** Remove the heap front, keeping heap order. */
     void popFront();
 
-    /** Collect exhausted tick buckets sitting at the heap front. */
+    /** Drop stale (cancelled) entries sitting at the heap front. */
     void pruneFront();
 
     /**
@@ -236,14 +185,12 @@ class Engine
     std::uint64_t _scheduled = 0;
     std::uint64_t _cancelled = 0;
     std::size_t _live = 0;
-    std::vector<HeapNode> _heap;
-    std::vector<Bucket> _buckets;
-    std::vector<std::uint32_t> _freeBuckets;
-    std::vector<EventMeta> _events;    // indexed by slot
-    std::vector<InplaceCallback> _cbs; // indexed by slot
+    std::vector<Entry> _heap;
+    // Per-slot state. A free slot's generation has never been handed
+    // out, so a slot is live iff an id's generation matches it.
+    std::vector<InplaceCallback> _cbs;
+    std::vector<std::uint32_t> _generations;
     std::vector<std::uint32_t> _freeSlots;
-    std::vector<MapEntry> _map; // power-of-two open addressing
-    std::size_t _mapLive = 0;
 };
 
 } // namespace rc::sim

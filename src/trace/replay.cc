@@ -9,8 +9,22 @@ namespace rc::trace {
 std::vector<Arrival>
 expandArrivals(const TraceSet& set)
 {
-    std::vector<Arrival> arrivals;
-    arrivals.reserve(set.totalInvocations());
+    // Arrivals never leave their minute, so place them by minute (a
+    // counting sort) and sort each minute's slice: the same order as
+    // one global sort, with small cache-resident sorts. Every trace is
+    // padded to the horizon (TraceSet::add).
+    const std::size_t minutes = set.durationMinutes();
+    std::vector<std::size_t> begin(minutes + 1, 0);
+    for (const auto& trace : set.traces()) {
+        for (std::size_t minute = 0; minute < trace.perMinute.size();
+             ++minute)
+            begin[minute + 1] += trace.perMinute[minute];
+    }
+    for (std::size_t minute = 0; minute < minutes; ++minute)
+        begin[minute + 1] += begin[minute];
+
+    std::vector<Arrival> arrivals(begin[minutes]);
+    std::vector<std::size_t> cursor(begin.begin(), begin.end() - 1);
     for (const auto& trace : set.traces()) {
         for (std::size_t minute = 0; minute < trace.perMinute.size();
              ++minute) {
@@ -19,20 +33,18 @@ expandArrivals(const TraceSet& set)
                 continue;
             const sim::Tick minuteStart =
                 static_cast<sim::Tick>(minute) * sim::kMinute;
-            if (count == 1) {
-                arrivals.push_back(Arrival{minuteStart, trace.function});
-                continue;
-            }
             // Evenly distribute: invocation i at start + i * (60s / count).
             const sim::Tick step = sim::kMinute / static_cast<sim::Tick>(count);
             for (std::uint32_t i = 0; i < count; ++i) {
-                arrivals.push_back(Arrival{
+                arrivals[cursor[minute]++] = Arrival{
                     minuteStart + static_cast<sim::Tick>(i) * step,
-                    trace.function});
+                    trace.function};
             }
         }
     }
-    std::sort(arrivals.begin(), arrivals.end());
+    const auto first = arrivals.begin();
+    for (std::size_t minute = 0; minute < minutes; ++minute)
+        std::sort(first + begin[minute], first + begin[minute + 1]);
     return arrivals;
 }
 

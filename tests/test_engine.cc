@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -216,42 +217,55 @@ TEST(Engine, PendingEventsCountsLiveEventsOnly)
     EXPECT_EQ(engine.pendingEvents(), 0u);
 }
 
-TEST(Engine, ClearResetsToFreshState)
+TEST(Engine, NextEventAtNeverReportsLaterThanTheNextFiring)
 {
+    // The sharded cluster's idle fast path and active-shard skip poll
+    // nextEventAt() instead of stepping the engine: it may report a
+    // tick too early (a cancelled front), never too late.
+    constexpr Tick kNever = std::numeric_limits<Tick>::max();
     Engine engine;
-    int fired = 0;
-    engine.schedule(10, [&] { ++fired; });
-    engine.schedule(20, [&] { ++fired; });
-    engine.run();
-    engine.schedule(30, [&] { ++fired; });
+    EXPECT_EQ(engine.nextEventAt(), kNever);
 
-    engine.clear();
-    EXPECT_EQ(engine.now(), 0);
+    // Cancelling the front may leave an earlier tick behind, but the
+    // answer still bounds the next real firing from below.
+    const EventId front = engine.schedule(10, [] {});
+    engine.schedule(20, [] {});
+    EXPECT_EQ(engine.nextEventAt(), 10);
+    EXPECT_TRUE(engine.cancel(front));
+    EXPECT_LE(engine.nextEventAt(), 20);
+    ASSERT_TRUE(engine.step());
+    EXPECT_EQ(engine.now(), 20);
+    EXPECT_EQ(engine.nextEventAt(), kNever);
+
+    // Randomised schedule/cancel traffic: before every step, the
+    // reported tick is <= the tick of the event that then fires.
+    std::uint64_t rng = 0x2545f4914f6cdd1dull;
+    const auto next = [&rng] {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        return rng;
+    };
+    std::vector<EventId> ids;
+    for (int i = 0; i < 2000; ++i)
+        ids.push_back(engine.schedule(engine.now() + 1 + next() % 500,
+                                      [] {}));
+    std::size_t steps = 0;
+    for (;;) {
+        if (next() % 3 == 0)
+            engine.cancel(ids[next() % ids.size()]);
+        if (next() % 2 == 0)
+            ids.push_back(engine.schedule(engine.now() + next() % 50,
+                                          [] {}));
+        const Tick reported = engine.nextEventAt();
+        if (!engine.step())
+            break;
+        ++steps;
+        EXPECT_LE(reported, engine.now()) << "at step " << steps;
+    }
+    EXPECT_GT(steps, 1000u);
     EXPECT_EQ(engine.pendingEvents(), 0u);
-    EXPECT_EQ(engine.executedEvents(), 0u);
-
-    // The engine is reusable: events schedule from tick 0 again.
-    engine.schedule(5, [&] { ++fired; });
-    engine.run();
-    EXPECT_EQ(fired, 3); // the cleared tick-30 event never fired
-    EXPECT_EQ(engine.now(), 5);
-}
-
-TEST(Engine, HandlesFromBeforeClearAreHarmless)
-{
-    Engine engine;
-    bool stale = false;
-    const EventId old = engine.schedule(10, [&] { stale = true; });
-    engine.clear();
-
-    bool fresh = false;
-    const EventId id = engine.schedule(10, [&] { fresh = true; });
-    EXPECT_FALSE(engine.pending(old));
-    EXPECT_FALSE(engine.cancel(old)); // must not cancel the new event
-    EXPECT_TRUE(engine.pending(id));
-    engine.run();
-    EXPECT_TRUE(fresh);
-    EXPECT_FALSE(stale);
+    EXPECT_EQ(engine.nextEventAt(), kNever);
 }
 
 TEST(Engine, SameTickCancelBeforeFire)

@@ -454,6 +454,31 @@ TEST(ObsIntegration, ChromeTraceLoadsAsJsonWithExpectedTracks)
     EXPECT_EQ(unknown, 0u);
 }
 
+TEST(ObsExport, ChromeTraceNamesEveryEventType)
+{
+    // One event of every type, in enum order, on one container / node.
+    // The container lifecycle types open phase slices ("opened_by"),
+    // every other type renders as a record carrying its type name, so
+    // a Perfetto view never silently drops a kind of event.
+    Observer observer;
+    for (std::size_t i = 0; i < kEventTypeCount; ++i) {
+        observer.emit(static_cast<sim::Tick>(10 * i),
+                      static_cast<EventType>(i), 1, 0, 1, 1, 1.0, 1.0);
+    }
+    std::ostringstream os;
+    writeChromeTrace(os, observer);
+    JsonValue root;
+    std::string error;
+    ASSERT_TRUE(parseJson(os.str(), root, &error)) << error;
+    const std::string json = os.str();
+    for (std::size_t i = 0; i < kEventTypeCount; ++i) {
+        const std::string name =
+            std::string("\"") + toString(static_cast<EventType>(i)) + "\"";
+        EXPECT_NE(json.find(name), std::string::npos)
+            << name << " missing from the Chrome trace";
+    }
+}
+
 TEST(ObsIntegration, ReportJsonParsesBackWithCounters)
 {
     const auto& run = tracedRun();

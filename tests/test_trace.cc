@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "stats/accumulator.hh"
 #include "trace/generator.hh"
 #include "trace/replay.hh"
@@ -85,6 +88,41 @@ TEST(Replay, MergedStreamIsSorted)
     EXPECT_EQ(arrivals.size(), 7u);
     for (std::size_t i = 1; i < arrivals.size(); ++i)
         EXPECT_LE(arrivals[i - 1].time, arrivals[i].time);
+}
+
+TEST(Replay, PerMinuteSortEqualsOneGlobalSort)
+{
+    // expandArrivals sorts minute by minute; that must give exactly the
+    // order of one global sort over the expanded stream, ties included.
+    workload::Catalog catalog = workload::Catalog::standard20();
+    WorkloadTraceConfig config;
+    config.minutes = 90;
+    config.targetInvocations = 20000;
+    config.seed = 11;
+    const TraceSet set = generateAzureLike(catalog, config);
+
+    std::vector<Arrival> expected;
+    for (const auto& trace : set.traces()) {
+        for (std::size_t minute = 0; minute < trace.perMinute.size();
+             ++minute) {
+            const std::uint32_t count = trace.perMinute[minute];
+            for (std::uint32_t i = 0; i < count; ++i) {
+                expected.push_back(Arrival{
+                    static_cast<sim::Tick>(minute) * sim::kMinute +
+                        static_cast<sim::Tick>(i) *
+                            (sim::kMinute / static_cast<sim::Tick>(count)),
+                    trace.function});
+            }
+        }
+    }
+    std::sort(expected.begin(), expected.end());
+
+    const auto arrivals = expandArrivals(set);
+    ASSERT_EQ(arrivals.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ(arrivals[i].time, expected[i].time) << "at " << i;
+        ASSERT_EQ(arrivals[i].function, expected[i].function) << "at " << i;
+    }
 }
 
 TEST(Replay, IatStatsOfRegularStream)
