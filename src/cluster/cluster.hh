@@ -1,9 +1,9 @@
 /**
  * @file
  * Cluster-level vocabulary shared by the sharded cluster core, the
- * recovery orchestrator and the experiment harness: the cluster
- * configuration, the aggregated run result, and the pre-drawn node
- * crash schedule.
+ * recovery orchestrator and the experiment harness: the one cluster
+ * configuration (exp::ClusterRunConfig is an alias of it), the
+ * aggregated run result, and the pre-drawn node crash schedule.
  */
 
 #ifndef RC_CLUSTER_CLUSTER_HH_
@@ -23,15 +23,48 @@ namespace rc::cluster {
 /** Creates one policy instance per node. */
 using PolicyFactory = std::function<std::unique_ptr<policy::Policy>()>;
 
-/** Cluster configuration. */
+/**
+ * The one cluster configuration: what the fleet is and how a run of
+ * it is executed. Shard and thread counts never change results; the
+ * barrier pitch, summary staleness and failover hop are model
+ * constants (sharded_cluster.hh), not settings.
+ */
 struct ClusterConfig
 {
     /** Number of worker nodes. */
     std::size_t nodes = 4;
-    /** Per-node configuration (budget divides a cluster total). */
-    platform::NodeConfig node;
     /** Routing policy. */
     Scheduling scheduling = Scheduling::LocalityAware;
+    /**
+     * Node partitions (clamped to [1, nodes]). Results are
+     * bit-identical at any shard count; only wall clock changes.
+     */
+    std::size_t shards = 1;
+    /**
+     * Worker threads stepping the shards; 0 picks
+     * min(shards, hardware concurrency). Never affects results.
+     */
+    std::size_t threads = 0;
+    /** Per-node configuration (budget divides a cluster total). */
+    platform::NodeConfig node;
+    /**
+     * Collect coordinator/parallel phase wall-clock timings into the
+     * ClusterResult (and the coordinator_drain_ns / route_ns /
+     * summary_capture_ns gauges when an observer is attached). Off by
+     * default: the per-window clock reads cost ~1% on short windows
+     * and the numbers are nondeterministic, so only bench and
+     * instrumented runs turn this on. Never affects results.
+     */
+    bool phaseTimings = false;
+    /**
+     * Test knob: capture every node's summary at every barrier the
+     * shard runs instead of only nodes whose summaryStamp changed.
+     * The delta-identity test pins full == delta byte-for-byte; it
+     * also forces every shard to run every window (the active-shard
+     * skip would otherwise starve the full capture). Never changes
+     * results by design — only wall clock.
+     */
+    bool fullSummaryCapture = false;
 };
 
 /** Aggregated outcome of a cluster run. */
@@ -151,7 +184,7 @@ struct ClusterResult
     double timeToGoodputSeconds = 0.0;
 
     // ---- coordinator phase timing (wall clock) --------------------------
-    // Populated only when ShardedConfig::phaseTimings is on. These are
+    // Populated only when ClusterConfig::phaseTimings is on. These are
     // host wall-clock measurements — nondeterministic by nature — so,
     // like the e2e percentile fields above, they are never part of the
     // pinned CSV columns.

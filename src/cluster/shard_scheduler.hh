@@ -14,9 +14,9 @@
  * (round-robin and least-loaded) so the benefit of warmth-aware
  * routing is measurable. It routes against *summaries*: per-node PODs
  * captured by each shard at the last barrier, never live node
- * objects. Decisions therefore see state that is up to one lookahead
- * window stale — exactly the information a real inter-node scheduler
- * would have, since placement messages take a network hop anyway.
+ * objects. Decisions therefore see state as of the last barrier (at
+ * most kMaxSummaryStaleness old, see sharded_cluster.hh) — the kind
+ * of periodically reported load a real inter-node scheduler acts on.
  *
  * Every rule here is a pure function of the summary array plus the
  * scheduler's own deterministic state (rotation cursor, affinity

@@ -26,8 +26,8 @@ defaultThreads(std::size_t shards)
 
 ShardedCluster::ShardedCluster(const workload::Catalog& catalog,
                                const PolicyFactory& factory,
-                               ClusterConfig config, ShardedConfig sharded)
-    : _catalog(catalog), _config(config), _sharded(sharded),
+                               ClusterConfig config)
+    : _catalog(catalog), _config(config),
       _scheduler(config.scheduling, catalog)
 {
     if (config.nodes == 0)
@@ -73,19 +73,15 @@ ShardedCluster::ShardedCluster(const workload::Catalog& catalog,
                          admission::CircuitBreaker(breaker));
     }
 
-    _lookahead = _sharded.lookahead > 0
-                     ? _sharded.lookahead
-                     : core::CostModel(_sharded.cost).crossShardLookahead();
-
     // Round-robin node -> shard assignment balances load; the mapping
     // never influences results (see header), only wall-clock.
     const std::size_t shards =
-        std::max<std::size_t>(1, std::min(_sharded.shards, _nodes.size()));
+        std::max<std::size_t>(1, std::min(_config.shards, _nodes.size()));
     _shards.resize(shards);
     for (std::size_t i = 0; i < _nodes.size(); ++i)
         _shards[i % shards].nodes.push_back(i);
-    _threads = _sharded.threads > 0
-                   ? std::min(_sharded.threads, shards)
+    _threads = _config.threads > 0
+                   ? std::min(_config.threads, shards)
                    : defaultThreads(shards);
 
     _summaries.resize(_nodes.size());
@@ -156,8 +152,6 @@ ShardedCluster::captureSummary(platform::Node& node) const
 void
 ShardedCluster::runShardWindow(Shard& shard, sim::Tick windowEnd)
 {
-    const sim::Tick failoverHop = std::max(
-        _lookahead, sim::fromMillis(_sharded.cost.failoverHopMillis));
     // The coordinator appends the bin per stream (failover, arrivals,
     // crashes), so inputs interleave; one sort groups the bin by node
     // and restores the global (tick, kind, seq) drain order within
@@ -186,7 +180,7 @@ ShardedCluster::runShardWindow(Shard& shard, sim::Tick windowEnd)
         // only this node's state, so it is independent of the shard
         // partitioning. fullSummaryCapture disables the shortcut so
         // the identity test exercises the full re-walk.
-        if (cursor == begin && !_sharded.fullSummaryCapture) {
+        if (cursor == begin && !_config.fullSummaryCapture) {
             const sim::Tick next = node.engine().nextEventAt();
             if (next >= windowEnd) {
                 shardNext = std::min(shardNext, next);
@@ -205,13 +199,13 @@ ShardedCluster::runShardWindow(Shard& shard, sim::Tick windowEnd)
                          static_cast<std::uint32_t>(lost.size())});
                     // Displaced work re-enters at the next barrier,
                     // one failover hop after the crash. The hop is
-                    // >= the lookahead by construction, so delivery
+                    // >= the lookahead (static_assert), so delivery
                     // never lands inside this window.
                     std::uint32_t i = 0;
                     for (const auto& ticket : lost) {
                         shard.outbox.push_back(
                             {std::max(windowEnd,
-                                      input.tick + failoverHop),
+                                      input.tick + kFailoverHop),
                              input.tick,
                              static_cast<std::uint32_t>(index), i++,
                              ticket.function, ticket.originSpan,
@@ -241,7 +235,7 @@ ShardedCluster::runShardWindow(Shard& shard, sim::Tick windowEnd)
         // fullSummaryCapture identity test pins this).
         const std::uint64_t stamp = node.summaryStamp();
         if (stamp != _summaryStamps[index] ||
-            _sharded.fullSummaryCapture) {
+            _config.fullSummaryCapture) {
             _summaryStamps[index] = stamp;
             shard.summaryScratch.emplace_back(
                 static_cast<std::uint32_t>(index), captureSummary(node));
@@ -349,11 +343,7 @@ ShardedCluster::run(trace::ArrivalSource& source)
         }
     }
 
-    const sim::Tick L = _lookahead;
-    // Staleness cap, rounded up to whole windows so every barrier
-    // stays on the lookahead grid.
-    const sim::Tick maxStride =
-        std::max(L, (_sharded.maxSummaryStaleness + L - 1) / L * L);
+    constexpr sim::Tick L = kLookahead;
 
     constexpr sim::Tick kNever = std::numeric_limits<sim::Tick>::max();
     for (std::size_t i = 0; i < _nodes.size(); ++i) {
@@ -381,7 +371,7 @@ ShardedCluster::run(trace::ArrivalSource& source)
     // Coordinator-phase wall-clock breakdown. Gated: the numbers are
     // nondeterministic and the clock reads are not free, so only
     // bench/instrumented runs pay for them.
-    const bool timing = _sharded.phaseTimings;
+    const bool timing = _config.phaseTimings;
     const auto nowNs = [] {
         return static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -494,7 +484,8 @@ ShardedCluster::run(trace::ArrivalSource& source)
             break;
 
         sim::Tick windowStart = nextTick / L * L;
-        windowStart = std::min(windowStart, lastBarrier + maxStride);
+        windowStart =
+            std::min(windowStart, lastBarrier + kMaxSummaryStaleness);
         const sim::Tick windowEnd = windowStart + L;
         ++result.windows;
 
@@ -698,7 +689,7 @@ ShardedCluster::run(trace::ArrivalSource& source)
         // the no-skip path.
         _activeShards.clear();
         for (std::size_t s = 0; s < shardCount; ++s) {
-            if (_sharded.fullSummaryCapture || !_shards[s].bin.empty() ||
+            if (_config.fullSummaryCapture || !_shards[s].bin.empty() ||
                 _shards[s].nextEventAt < windowEnd)
                 _activeShards.push_back(s);
         }

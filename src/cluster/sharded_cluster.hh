@@ -4,12 +4,14 @@
  * on all cores, bit-identical at any shard and thread count.
  *
  * The core partitions nodes into shards (node i -> shard
- * i % shards), each stepping its
- * nodes' engines on a worker thread, and synchronizes them on a
- * barrier grid whose pitch is the *lookahead* L — the minimum
- * cross-node hop latency from the cost model. Because no effect can
- * cross nodes faster than L, a shard may run a whole window
- * [W, W + L) without observing the others.
+ * i % shards), each stepping its nodes' engines on a worker thread,
+ * and synchronizes them on a barrier grid of pitch kLookahead. Nodes
+ * never exchange messages directly: every effect that crosses nodes
+ * goes through the coordinator at a barrier, so a shard may run a
+ * whole window [W, W + kLookahead) without observing the others. The
+ * pitch is therefore not a network latency but the routing
+ * granularity: arrivals are delivered at their own tick, routed on
+ * node summaries captured at the last barrier.
  *
  * All cross-shard interaction is mediated by the single-threaded
  * coordinator at barriers:
@@ -18,8 +20,9 @@
  *    summaries (ShardScheduler) and appended to per-node inboxes;
  *  - pre-drawn node crashes are appended to the owning node's inbox;
  *  - work lost to a crash surfaces in the shard's outbox and is
- *    re-routed at the next barrier, delivered one failover hop after
- *    the crash (never earlier than the next window);
+ *    re-routed at the next barrier, delivered kFailoverHop after the
+ *    crash (never earlier than the next window) — the only fixed hop
+ *    the model charges;
  *  - each shard's crash log and outbox are merged sort-once in a
  *    partition-independent order, and inboxes are drained in
  *    (tick, kind, sequence) order, where the sequence is assigned by
@@ -52,56 +55,33 @@
 #include "trace/arrival_source.hh"
 #include "cluster/recovery_orchestrator.hh"
 #include "cluster/shard_scheduler.hh"
-#include "core/cost_model.hh"
 #include "fault/network_plan.hh"
 #include "sim/shard_executor.hh"
 #include "stats/quantile_sketch.hh"
 
 namespace rc::cluster {
 
-/** Sharded-execution knobs (on top of a ClusterConfig). */
-struct ShardedConfig
-{
-    /** Number of node partitions; clamped to [1, nodes]. */
-    std::size_t shards = 1;
-    /**
-     * Worker threads stepping the shards; 0 picks
-     * min(shards, hardware concurrency). Never affects results.
-     */
-    std::size_t threads = 0;
-    /**
-     * Barrier-grid pitch in ticks; 0 derives the conservative
-     * lookahead from the cost model's cross-node hop latencies.
-     */
-    sim::Tick lookahead = 0;
-    /**
-     * Summaries are refreshed at least this often while input
-     * remains, even across windows with no arrivals (rounded up to a
-     * whole number of lookahead windows). Bounds routing staleness on
-     * sparse traces.
-     */
-    sim::Tick maxSummaryStaleness = sim::kSecond;
-    /** Source of the hop latencies when lookahead is derived. */
-    core::CostConfig cost;
-    /**
-     * Collect coordinator/parallel phase wall-clock timings into the
-     * ClusterResult (and the coordinator_drain_ns / route_ns /
-     * summary_capture_ns gauges when an observer is attached). Off by
-     * default: the per-window clock reads cost ~1% on short windows
-     * and the numbers are nondeterministic, so only bench and
-     * instrumented runs turn this on. Never affects results.
-     */
-    bool phaseTimings = false;
-    /**
-     * Test knob: capture every node's summary at every barrier the
-     * shard runs instead of only nodes whose summaryStamp changed.
-     * The delta-identity test pins full == delta byte-for-byte; it
-     * also forces every shard to run every window (the active-shard
-     * skip would otherwise starve the full capture). Never changes
-     * results by design — only wall clock.
-     */
-    bool fullSummaryCapture = false;
-};
+/**
+ * Barrier-grid pitch: shards run windows [W, W + kLookahead) between
+ * coordinator barriers, and a window's arrivals are routed on the
+ * summaries captured at the last barrier.
+ */
+inline constexpr sim::Tick kLookahead = 5 * sim::kMillisecond;
+
+/** Crash-detection-to-reroute delay paid by work a crash displaced. */
+inline constexpr sim::Tick kFailoverHop = 50 * sim::kMillisecond;
+
+// A failover delivery must never land inside the window that crashed.
+static_assert(kFailoverHop >= kLookahead);
+
+/**
+ * Summaries are refreshed at least this often while input remains,
+ * even across stretches with no arrivals, which bounds routing
+ * staleness on sparse traces. A whole number of windows, so every
+ * barrier stays on the grid.
+ */
+inline constexpr sim::Tick kMaxSummaryStaleness = sim::kSecond;
+static_assert(kMaxSummaryStaleness % kLookahead == 0);
 
 /**
  * One cross-shard message: an invocation delivered to a node, or a
@@ -176,8 +156,7 @@ class ShardedCluster
     using PolicyFactory = cluster::PolicyFactory;
 
     ShardedCluster(const workload::Catalog& catalog,
-                   const PolicyFactory& factory, ClusterConfig config,
-                   ShardedConfig sharded = {});
+                   const PolicyFactory& factory, ClusterConfig config);
 
     /** Route and replay @p arrivals to completion on all nodes.
      *  Compatibility shim over the streaming overload (wraps the
@@ -195,9 +174,6 @@ class ShardedCluster
      * streaming equivalence golden).
      */
     ClusterResult run(trace::ArrivalSource& source);
-
-    /** Effective barrier-grid pitch in ticks. */
-    sim::Tick lookahead() const { return _lookahead; }
 
     /** Effective shard count after clamping. */
     std::size_t shardCount() const { return _shards.size(); }
@@ -428,8 +404,6 @@ class ShardedCluster
 
     const workload::Catalog& _catalog;
     ClusterConfig _config;
-    ShardedConfig _sharded;
-    sim::Tick _lookahead = 0;
     std::size_t _threads = 1;
     ShardScheduler _scheduler;
     std::vector<std::unique_ptr<platform::Node>> _nodes;

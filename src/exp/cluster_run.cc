@@ -8,17 +8,7 @@ cluster::ClusterResult
 runCluster(const workload::Catalog& catalog, const PolicyFactory& factory,
            trace::ArrivalSource& source, const ClusterRunConfig& config)
 {
-    cluster::ClusterConfig clusterConfig;
-    clusterConfig.nodes = config.nodes;
-    clusterConfig.node = config.node;
-    clusterConfig.scheduling = config.scheduling;
-    cluster::ShardedConfig sharded;
-    sharded.shards = config.shards;
-    sharded.threads = config.threads;
-    sharded.cost = config.cost;
-    sharded.phaseTimings = config.phaseTimings;
-    cluster::ShardedCluster cluster(catalog, factory, clusterConfig,
-                                    sharded);
+    cluster::ShardedCluster cluster(catalog, factory, config);
     return cluster.run(source);
 }
 

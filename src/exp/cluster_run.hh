@@ -15,31 +15,8 @@
 
 namespace rc::exp {
 
-/** Cluster-run knobs on top of the shared node configuration. */
-struct ClusterRunConfig
-{
-    /** Number of worker nodes. */
-    std::size_t nodes = 4;
-    /** Routing policy. */
-    cluster::Scheduling scheduling = cluster::Scheduling::LocalityAware;
-    /**
-     * Node partitions (clamped to [1, nodes]). Results are
-     * bit-identical at any shard count; only wall clock changes.
-     */
-    std::size_t shards = 1;
-    /** Worker threads stepping the shards; 0 picks automatically. */
-    std::size_t threads = 0;
-    /** Per-node configuration. */
-    platform::NodeConfig node;
-    /** Hop latencies the core derives its lookahead from. */
-    core::CostConfig cost;
-    /**
-     * Measure the coordinator-phase wall-clock breakdown (see
-     * ClusterResult::coordinatorDrainNs). Off by default: the numbers
-     * are host-dependent and benchmarks are the only consumer.
-     */
-    bool phaseTimings = false;
-};
+/** A cluster run is configured by the cluster core's own config. */
+using ClusterRunConfig = cluster::ClusterConfig;
 
 /**
  * Run @p factory's policy over arrivals pulled from @p source on a

@@ -128,7 +128,7 @@ enum class Gauge : std::uint8_t
     // Coordinator phase timing, sharded core (appended after
     // PressureLevel so older reports keep their gauge order). These
     // are run totals in wall-clock ns, set once at end of run and
-    // only when ShardedConfig::phaseTimings is on.
+    // only when cluster::ClusterConfig::phaseTimings is on.
     CoordinatorDrainNs, //!< single-threaded coordinator time
     RouteNs,            //!< routing drain + bin distribution subset
     SummaryCaptureNs,   //!< summary delta merge subset

@@ -75,7 +75,14 @@ FunctionTrace generateFunctionTrace(workload::FunctionId function,
 struct WorkloadTraceConfig
 {
     std::size_t minutes = 480;
-    /** Target total invocations across all functions (approximate). */
+    /**
+     * Volume knob, not a total: targetInvocations / minutes is split
+     * by Zipf weight, but only the two warm-head functions take their
+     * share as a rate. Every tail function's rate is fixed by its
+     * archetype pattern, so the realized count is not the target
+     * (Table 1 catalog, rainbow_sim's default seed, 120 minutes: a
+     * target of 50,646 yields 12,901 invocations, 2,000 yields 687).
+     */
     std::uint64_t targetInvocations = 25000;
     /**
      * Zipf skew of per-function popularity. The Azure workload's

@@ -1,8 +1,8 @@
 /**
  * @file
  * Sharded parallel cluster core: determinism across shard and thread
- * counts, conservative-lookahead derivation, failover delivery
- * timing, and conservation of invocations under chaos.
+ * counts, the barrier-timing constants, failover delivery timing, and
+ * conservation of invocations under chaos.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "core/ablations.hh"
 #include "exp/cluster_run.hh"
 #include "exp/experiment.hh"
+#include "fault/network_plan.hh"
 #include "obs/observer.hh"
 #include "platform/node.hh"
 #include "trace/arrival_source.hh"
@@ -79,32 +80,14 @@ runSharded(const std::vector<trace::Arrival>& arrivals,
         config);
 }
 
-TEST(ShardedCluster, LookaheadIsTheMinimumCrossNodeHop)
+TEST(ShardedCluster, TimingConstantsArePinned)
 {
-    core::CostConfig cost; // defaults: dispatch 25, failover 50, net 5
-    EXPECT_EQ(core::CostModel(cost).crossShardLookahead(),
-              sim::fromMillis(5.0));
-    cost.networkHopMillis = 100.0;
-    EXPECT_EQ(core::CostModel(cost).crossShardLookahead(),
-              sim::fromMillis(25.0));
-
-    const auto catalog = workload::Catalog::standard20();
-    cluster::ClusterConfig clusterConfig;
-    clusterConfig.nodes = 4;
-    cluster::ShardedConfig sharded;
-    sharded.shards = 2;
-    sharded.cost = cost;
-    cluster::ShardedCluster cluster(
-        catalog, [&catalog] { return core::makeRainbowCake(catalog); },
-        clusterConfig, sharded);
-    EXPECT_EQ(cluster.lookahead(), sim::fromMillis(25.0));
-
-    // An explicit lookahead overrides the derivation.
-    sharded.lookahead = sim::fromMillis(2.0);
-    cluster::ShardedCluster pinned(
-        catalog, [&catalog] { return core::makeRainbowCake(catalog); },
-        clusterConfig, sharded);
-    EXPECT_EQ(pinned.lookahead(), sim::fromMillis(2.0));
+    // The barrier pitch, the failover hop and the summary staleness
+    // cap are model constants; every cluster golden was recorded at
+    // these values, so moving one is a model change.
+    EXPECT_EQ(cluster::kLookahead, sim::fromMillis(5.0));
+    EXPECT_EQ(cluster::kFailoverHop, sim::fromMillis(50.0));
+    EXPECT_EQ(cluster::kMaxSummaryStaleness, sim::fromSeconds(1.0));
 }
 
 TEST(ShardedCluster, ShardCountIsClampedToNodes)
@@ -112,11 +95,10 @@ TEST(ShardedCluster, ShardCountIsClampedToNodes)
     const auto catalog = workload::Catalog::standard20();
     cluster::ClusterConfig clusterConfig;
     clusterConfig.nodes = 3;
-    cluster::ShardedConfig sharded;
-    sharded.shards = 16;
+    clusterConfig.shards = 16;
     cluster::ShardedCluster cluster(
         catalog, [&catalog] { return core::makeRainbowCake(catalog); },
-        clusterConfig, sharded);
+        clusterConfig);
     EXPECT_EQ(cluster.shardCount(), 3u);
     EXPECT_LE(cluster.threadCount(), 3u);
 }
@@ -140,27 +122,34 @@ TEST(ShardedCluster, AlignToBarrierRoundsUpToTheGrid)
 
 TEST(ShardedCluster, OffGridPartitionEndsStillWakeTheCluster)
 {
-    // Regression for the partition-end wakeup bug: with a coarse
-    // explicit lookahead, a partition whose end falls between
-    // barriers must still be lifted at the next barrier — the severed
-    // nodes rejoin and finish the run — rather than the end window
-    // being skipped and the nodes staying severed forever.
+    // Regression for the partition-end wakeup bug: a partition whose
+    // end falls between barriers must still be lifted at the next
+    // barrier — the severed nodes rejoin and finish the run — rather
+    // than the end window being skipped and the nodes staying severed
+    // forever.
     const auto catalog = workload::Catalog::standard20();
     cluster::ClusterConfig clusterConfig;
     clusterConfig.nodes = 8;
+    clusterConfig.shards = 4;
     clusterConfig.node.pool.memoryBudgetMb = 8192.0;
     fault::NetworkPlan& net = clusterConfig.node.fault.network;
     net.partitionRatePerHour = 12.0;
-    // Deliberately off the 250 ms barrier grid below.
     net.partitionDurationSeconds = 17.3;
-    cluster::ShardedConfig sharded;
-    sharded.shards = 4;
-    sharded.lookahead = sim::fromMillis(250.0);
+    const auto arrivals = standardArrivals();
+
+    // The regression is only live if some partition really ends off
+    // the barrier grid; read the schedule the run will draw.
+    const auto partitions = fault::drawPartitionSchedule(
+        net, clusterConfig.node.seed, clusterConfig.nodes,
+        trace::VectorArrivalSource(arrivals).horizon());
+    ASSERT_TRUE(std::any_of(partitions.begin(), partitions.end(),
+                            [](const fault::PartitionEvent& p) {
+                                return p.end % cluster::kLookahead != 0;
+                            }));
 
     cluster::ShardedCluster cluster(
         catalog, [&catalog] { return core::makeRainbowCake(catalog); },
-        clusterConfig, sharded);
-    const auto arrivals = standardArrivals();
+        clusterConfig);
     const auto result = cluster.run(arrivals);
 
     ASSERT_GT(result.partitions, 0u);
@@ -256,29 +245,27 @@ TEST(ShardedCluster, FailoverDeliveryWaitsAtLeastOneLookahead)
     clusterConfig.node.pool.memoryBudgetMb = 8192.0;
     clusterConfig.node.fault = chaosPlan();
     clusterConfig.node.observer = &observer;
-    cluster::ShardedConfig sharded;
-    sharded.shards = 3;
+    clusterConfig.shards = 3;
     cluster::ShardedCluster cluster(
         catalog, [&catalog] { return core::makeRainbowCake(catalog); },
-        clusterConfig, sharded);
+        clusterConfig);
     const auto arrivals = standardArrivals();
     const auto result = cluster.run(arrivals);
     ASSERT_GT(result.nodeCrashes, 0u);
 
-    const sim::Tick lookahead = cluster.lookahead();
     std::size_t failovers = 0;
     for (const auto& event : observer.events()) {
         if (event.type != obs::EventType::FailoverRouted)
             continue;
         ++failovers;
         // Some crash of the source node precedes the delivery by at
-        // least the lookahead.
+        // least the failover hop.
         bool matched = false;
         for (const auto& crash : observer.events()) {
             if (crash.type == obs::EventType::NodeCrashed &&
                 crash.container ==
                     static_cast<std::uint64_t>(event.arg0) &&
-                crash.tick + lookahead <= event.tick) {
+                crash.tick + cluster::kFailoverHop <= event.tick) {
                 matched = true;
                 break;
             }
@@ -297,11 +284,10 @@ TEST(ShardedCluster, ChaosRunConservesEveryInvocation)
     clusterConfig.node.fault = chaosPlan();
     clusterConfig.node.admission.maxQueueDepth = 64;
     clusterConfig.node.admission.queueDeadlineSeconds = 120.0;
-    cluster::ShardedConfig sharded;
-    sharded.shards = 4;
+    clusterConfig.shards = 4;
     cluster::ShardedCluster cluster(
         catalog, [&catalog] { return core::makeRainbowCake(catalog); },
-        clusterConfig, sharded);
+        clusterConfig);
     const auto arrivals = standardArrivals();
     const auto result = cluster.run(arrivals);
 
@@ -451,13 +437,12 @@ TEST(ShardedCluster, DeltaSummaryCaptureMatchesFullCapture)
             clusterConfig.nodes = 12;
             clusterConfig.node.pool.memoryBudgetMb = 8192.0;
             clusterConfig.node.fault = chaosPlan();
-            cluster::ShardedConfig sharded;
-            sharded.shards = shards;
-            sharded.fullSummaryCapture = full == 1;
+            clusterConfig.shards = shards;
+            clusterConfig.fullSummaryCapture = full == 1;
             cluster::ShardedCluster cluster(
                 catalog,
                 [&catalog] { return core::makeRainbowCake(catalog); },
-                clusterConfig, sharded);
+                clusterConfig);
             prints[full] = fingerprint(cluster.run(arrivals));
         }
         EXPECT_EQ(prints[0], prints[1]) << shards << " shards";

@@ -360,11 +360,11 @@ TEST_F(ClusterSpanTest, ShardedSpanDumpIsByteIdenticalAcrossShards)
     const std::size_t shardCounts[2] = {1, 2};
     for (int i = 0; i < 2; ++i) {
         Observer observer(spanConfig());
-        cluster::ShardedConfig sharded;
-        sharded.shards = shardCounts[i];
+        cluster::ClusterConfig config = crashyConfig(observer);
+        config.shards = shardCounts[i];
         cluster::ShardedCluster fleet(
             catalog, [this] { return core::makeRainbowCake(catalog); },
-            crashyConfig(observer), sharded);
+            config);
         results[i] = fleet.run(arrivals);
         std::ostringstream out;
         writeJsonlSpans(out, observer);

@@ -373,10 +373,9 @@ runShardedClusterCheck(const workload::Catalog& catalog,
     std::string fingerprints[2];
     const std::size_t counts[2] = {1, shards};
     for (std::size_t pass = 0; pass < 2; ++pass) {
-        cluster::ShardedConfig sharded;
-        sharded.shards = counts[pass];
+        clusterConfig.shards = counts[pass];
         cluster::ShardedCluster cluster(catalog, policy.make,
-                                        clusterConfig, sharded);
+                                        clusterConfig);
         const auto result = cluster.run(arrivals);
         const std::string passLabel = label + " shards=" +
                                       std::to_string(counts[pass]);
@@ -451,10 +450,9 @@ runGrayClusterCheck(const workload::Catalog& catalog,
     std::string fingerprints[2];
     const std::size_t counts[2] = {1, 4};
     for (std::size_t pass = 0; pass < 2; ++pass) {
-        cluster::ShardedConfig sharded;
-        sharded.shards = counts[pass];
+        clusterConfig.shards = counts[pass];
         cluster::ShardedCluster cluster(catalog, policy.make,
-                                        clusterConfig, sharded);
+                                        clusterConfig);
         const auto result = cluster.run(arrivals);
         const std::string passLabel =
             label + " shards=" + std::to_string(counts[pass]);
@@ -535,10 +533,9 @@ runDomainClusterCheck(const workload::Catalog& catalog,
     std::string fingerprints[2];
     const std::size_t counts[2] = {1, std::max<std::size_t>(2, shards)};
     for (std::size_t pass = 0; pass < 2; ++pass) {
-        cluster::ShardedConfig sharded;
-        sharded.shards = counts[pass];
+        clusterConfig.shards = counts[pass];
         cluster::ShardedCluster cluster(catalog, policy.make,
-                                        clusterConfig, sharded);
+                                        clusterConfig);
         const auto result = cluster.run(arrivals);
         const std::string passLabel =
             label + " shards=" + std::to_string(counts[pass]);

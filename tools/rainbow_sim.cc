@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -103,7 +104,11 @@ usage(int code)
         "  --all             run all six baselines and compare\n"
         "  --checkpoint      wrap the policy with checkpoint/restore\n"
         "  --minutes N       trace horizon (default 480)\n"
-        "  --invocations N   target invocation count (default 16.7/min)\n"
+        "  --invocations N   generator volume knob (default 16.7/min):\n"
+        "                    sets only the two warm-head functions'\n"
+        "                    rate; tail rates are fixed by their\n"
+        "                    patterns, so the trace size is not N\n"
+        "                    (120 min, N = 50646: 12,901 calls)\n"
         "  --budget-gb G     node memory budget (default 240)\n"
         "  --seed S          trace seed (default 20240427)\n"
         "  --cv C            use a CV-targeted 1-hour trace instead\n"
@@ -160,16 +165,30 @@ usage(int code)
 }
 
 /**
- * A node, shard or thread count: a positive integer. std::stoul
- * alone would wrap "-1" to SIZE_MAX and let 0 through.
+ * A count (minutes, invocations, nodes, shards, threads): a positive
+ * integer. std::stoul alone would wrap "-1" to SIZE_MAX, let 0
+ * through and ignore trailing junk.
  */
 std::size_t
 parseCount(const std::string& value)
 {
-    const unsigned long count = std::stoul(value);
-    if (count == 0 || value.find('-') != std::string::npos)
+    std::size_t used = 0;
+    const unsigned long count = std::stoul(value, &used);
+    if (count == 0 || used != value.size() ||
+        value.find('-') != std::string::npos)
         throw std::invalid_argument("count must be positive");
     return static_cast<std::size_t>(count);
+}
+
+/** A size or interval: a finite, positive real (rejects nan/inf). */
+double
+parsePositive(const std::string& value)
+{
+    std::size_t used = 0;
+    const double x = std::stod(value, &used);
+    if (!std::isfinite(x) || x <= 0.0 || used != value.size())
+        throw std::invalid_argument("value must be finite and positive");
+    return x;
 }
 
 Options
@@ -194,12 +213,11 @@ parseArgs(int argc, char** argv)
             } else if (arg == "--checkpoint") {
                 options.checkpoint = true;
             } else if (arg == "--minutes") {
-                options.minutes = static_cast<std::size_t>(
-                    std::stoul(need(i)));
+                options.minutes = parseCount(need(i));
             } else if (arg == "--invocations") {
-                options.invocations = std::stoull(need(i));
+                options.invocations = parseCount(need(i));
             } else if (arg == "--budget-gb") {
-                options.budgetGb = std::stod(need(i));
+                options.budgetGb = parsePositive(need(i));
             } else if (arg == "--seed") {
                 options.seed = std::stoull(need(i));
             } else if (arg == "--cv") {
@@ -243,9 +261,7 @@ parseArgs(int argc, char** argv)
             } else if (arg == "--scheduling") {
                 options.scheduling = need(i);
             } else if (arg == "--obs-interval") {
-                options.obsIntervalSeconds = std::stod(need(i));
-                if (options.obsIntervalSeconds <= 0.0)
-                    throw std::invalid_argument("non-positive interval");
+                options.obsIntervalSeconds = parsePositive(need(i));
             } else if (arg == "--timelines") {
                 options.timelines = true;
             } else if (arg == "--per-function") {
